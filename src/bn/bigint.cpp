@@ -14,12 +14,41 @@ void trim(LimbVec& v) {
   while (!v.empty() && v.back() == 0) v.pop_back();
 }
 
-int cmp(const LimbVec& a, const LimbVec& b) {
-  if (a.size() != b.size()) return a.size() < b.size() ? -1 : 1;
-  for (std::size_t i = a.size(); i-- > 0;) {
+int cmp(const Limb* a, std::size_t an, const Limb* b, std::size_t bn) {
+  if (an != bn) return an < bn ? -1 : 1;
+  for (std::size_t i = an; i-- > 0;) {
     if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
   }
   return 0;
+}
+
+int cmp(const LimbVec& a, const LimbVec& b) {
+  return cmp(a.data(), a.size(), b.data(), b.size());
+}
+
+Limb add_into(Limb* x, std::size_t xn, const Limb* y, std::size_t yn) {
+  unsigned __int128 carry = 0;
+  std::size_t i = 0;
+  for (; i < yn; ++i) {
+    carry += static_cast<unsigned __int128>(x[i]) + y[i];
+    x[i] = static_cast<Limb>(carry);
+    carry >>= 64;
+  }
+  for (; carry != 0 && i < xn; ++i) carry = ++x[i] == 0 ? 1 : 0;
+  return static_cast<Limb>(carry);
+}
+
+Limb sub_into(Limb* x, std::size_t xn, const Limb* y, std::size_t yn) {
+  Limb borrow = 0;
+  std::size_t i = 0;
+  for (; i < yn; ++i) {
+    const Limb xi = x[i];
+    const Limb d = xi - y[i];
+    x[i] = d - borrow;
+    borrow = static_cast<Limb>(xi < y[i]) | static_cast<Limb>(d < borrow);
+  }
+  for (; borrow != 0 && i < xn; ++i) borrow = x[i]-- == 0 ? 1 : 0;
+  return borrow;
 }
 
 LimbVec add(const LimbVec& a, const LimbVec& b) {
@@ -27,31 +56,15 @@ LimbVec add(const LimbVec& a, const LimbVec& b) {
   const LimbVec& lo = a.size() >= b.size() ? b : a;
   LimbVec out;
   out.reserve(hi.size() + 1);
-  unsigned __int128 carry = 0;
-  for (std::size_t i = 0; i < hi.size(); ++i) {
-    carry += hi[i];
-    if (i < lo.size()) carry += lo[i];
-    out.push_back(static_cast<Limb>(carry));
-    carry >>= 64;
-  }
-  if (carry) out.push_back(static_cast<Limb>(carry));
+  out.assign(hi.begin(), hi.end());
+  const Limb carry = add_into(out.data(), out.size(), lo.data(), lo.size());
+  if (carry) out.push_back(carry);
   return out;
 }
 
 LimbVec sub(const LimbVec& a, const LimbVec& b) {
-  LimbVec out;
-  out.reserve(a.size());
-  std::uint64_t borrow = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const Limb bi = i < b.size() ? b[i] : 0;
-    const Limb ai = a[i];
-    const Limb d1 = ai - bi;
-    const std::uint64_t borrow1 = ai < bi;
-    const Limb d2 = d1 - borrow;
-    const std::uint64_t borrow2 = d1 < borrow;
-    out.push_back(d2);
-    borrow = borrow1 | borrow2;
-  }
+  LimbVec out = a;
+  sub_into(out.data(), out.size(), b.data(), b.size());
   trim(out);
   return out;
 }

@@ -5,9 +5,11 @@
 // asymptotics of multiplication and division, exactly as in the paper
 // (Section 3.2). Consequently the library provides:
 //
-//   * schoolbook + Karatsuba multiplication (subquadratic above a threshold),
-//   * Knuth Algorithm D division plus Newton-reciprocal (Barrett-style)
-//     division that costs O(M(n)) for the huge product/remainder tree nodes,
+//   * schoolbook + Karatsuba + Toom-3 multiplication (subquadratic above a
+//     threshold),
+//   * Knuth Algorithm D division plus Burnikel–Ziegler recursive division,
+//     which costs about two multiplications for the huge remainder tree
+//     nodes,
 //   * binary GCD, extended GCD / modular inverse,
 //   * Montgomery modular exponentiation (used by Miller-Rabin),
 //   * deterministic random generation from an abstract byte source so the
@@ -201,9 +203,9 @@ struct Tuning {
   static std::size_t& karatsuba_threshold();
   /// Operand size (limbs) above which Toom-3 replaces Karatsuba.
   static std::size_t& toom3_threshold();
-  /// Divisor size (limbs) above which Newton-reciprocal division replaces
-  /// Knuth Algorithm D.
-  static std::size_t& newton_div_threshold();
+  /// Divisor and quotient size (limbs) above which Burnikel–Ziegler
+  /// division replaces Knuth Algorithm D; also its Knuth base-case size.
+  static std::size_t& bz_div_threshold();
 };
 
 }  // namespace weakkeys::bn

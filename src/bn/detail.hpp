@@ -30,6 +30,12 @@ void trim(LimbVec& v);
 
 /// Three-way magnitude comparison: -1, 0, +1.
 int cmp(const LimbVec& a, const LimbVec& b);
+int cmp(const Limb* a, std::size_t an, const Limb* b, std::size_t bn);
+
+/// In place on exact-length limb arrays (yn <= xn, no trimming):
+/// x += y, returning the carry out, and x -= y, returning the borrow out.
+Limb add_into(Limb* x, std::size_t xn, const Limb* y, std::size_t yn);
+Limb sub_into(Limb* x, std::size_t xn, const Limb* y, std::size_t yn);
 
 /// a + b.
 LimbVec add(const LimbVec& a, const LimbVec& b);
@@ -47,7 +53,8 @@ LimbVec mul(const LimbVec& a, const LimbVec& b);
 /// Schoolbook product, exposed for threshold benchmarking.
 LimbVec mul_schoolbook(const LimbVec& a, const LimbVec& b);
 
-/// Karatsuba product (recursive; falls back to schoolbook below threshold).
+/// Karatsuba product (recursive, in place on one scratch buffer; falls back
+/// to schoolbook below threshold).
 LimbVec mul_karatsuba(const LimbVec& a, const LimbVec& b);
 
 /// Toom-3 product (five-point evaluation/interpolation; recursive through
@@ -55,15 +62,16 @@ LimbVec mul_karatsuba(const LimbVec& a, const LimbVec& b);
 LimbVec mul_toom3(const LimbVec& a, const LimbVec& b);
 
 /// Floor division of magnitudes: a = q*b + r, 0 <= r < b. b must be nonzero.
-/// Dispatches Knuth Algorithm D vs Newton-reciprocal division on size.
+/// Dispatches Knuth Algorithm D vs Burnikel–Ziegler division on size.
 void divmod(const LimbVec& a, const LimbVec& b, LimbVec& q, LimbVec& r);
 
 /// Knuth Algorithm D (quadratic), exposed for threshold benchmarking.
 void divmod_knuth(const LimbVec& a, const LimbVec& b, LimbVec& q, LimbVec& r);
 
-/// Newton-reciprocal division (O(M(n))), exposed for benchmarking. Requires
-/// b larger than a handful of limbs.
-void divmod_newton(const LimbVec& a, const LimbVec& b, LimbVec& q, LimbVec& r);
+/// Burnikel–Ziegler recursive division (about 2 M(n) per 2n/n step) with a
+/// Knuth base case below Tuning::bz_div_threshold(), exposed for
+/// benchmarking.
+void divmod_bz(const LimbVec& a, const LimbVec& b, LimbVec& q, LimbVec& r);
 
 /// Significant bits of the magnitude (0 for empty).
 std::size_t bit_length(const LimbVec& v);

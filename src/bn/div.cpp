@@ -1,18 +1,23 @@
 // Division.
 //
-// Two algorithms, dispatched on operand shape:
+// Two algorithms behind one dispatcher, divmod():
 //  * Knuth Algorithm D (TAOCP vol. 2, 4.3.1; the divmnu64 formulation) —
-//    quadratic, excellent for modulus-sized operands.
-//  * Newton-reciprocal division — computes I = floor(beta^(2n)/B) by
-//    recursive Newton iteration (precision doubling), then reduces the
-//    dividend in Barrett steps of 2n limbs. Costs O(M(n)) per step and keeps
-//    the remainder tree of the batch GCD computation quasilinear, which is
+//    quadratic, excellent for modulus-sized operands and the base case of
+//    the recursive algorithm below.
+//  * Burnikel–Ziegler recursive division ("Fast Recursive Division",
+//    MPI-I-98-1-022, 1998), in the in-place formulation GMP uses for its
+//    divide-and-conquer division. A 2n/n step is two (n + n/2)/n steps; each
+//    of those divides the top n limbs of its dividend by the top n/2 divisor
+//    limbs recursively and then subtracts the quotient times the low divisor
+//    half with one mul(). That costs about 2 M(n) per 2n/n division, which
+//    keeps the remainder tree of the batch GCD computation quasilinear —
 //    what makes the paper's 81M-key computation (and our corpus-scale one)
 //    feasible at all.
 //
-// Every approximate step ends in an exact correction loop, so correctness
-// never depends on the error analysis; the analysis only guarantees the
-// loops run O(1) iterations.
+// Every quotient estimate ends in the same exact add-back correction Knuth
+// uses, so correctness never depends on the error analysis; the analysis
+// only guarantees the correction loops run at most twice.
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 
@@ -22,12 +27,12 @@
 
 namespace weakkeys::bn {
 
-std::size_t& Tuning::newton_div_threshold() {
-  // Measured crossover vs Knuth-D is ~7-8k divisor limbs (1.7x at 16k,
-  // 2.2x at 32k, and widening as O(n^2) pulls away). Only the top few
-  // levels of a corpus-scale remainder tree clear this bar — but those
-  // levels are where nearly all the division time goes.
-  static std::size_t threshold = 6000;  // limbs; tuned by bench/perf_bn
+std::size_t& Tuning::bz_div_threshold() {
+  // For 2n/n divisions BZ ties Knuth-D at 32-64 limbs and pulls away above
+  // (1.2x at 128, 1.4x at 256, 2.2x at 1024, 5x at 8192 limbs); any value
+  // from 16 to 64 is within noise. It is also the size of the Knuth base
+  // case inside the recursion.
+  static std::size_t threshold = 40;  // limbs; tuned by bench/perf_bn
   return threshold;
 }
 
@@ -50,31 +55,31 @@ void divmod_single_limb(const LimbVec& a, Limb d, LimbVec& q, LimbVec& r) {
   if (rem != 0) r.push_back(static_cast<Limb>(rem));
 }
 
-}  // namespace
+/// x[0..n) -= a[0..an) * b[0..bn) (an + bn <= n); returns the borrow out.
+Limb sub_mul(Limb* x, std::size_t n, const Limb* a, std::size_t an,
+             const Limb* b, std::size_t bn) {
+  LimbVec av(a, a + an), bv(b, b + bn);
+  trim(av);
+  trim(bv);
+  const LimbVec p = mul(av, bv);
+  return sub_into(x, n, p.data(), p.size());
+}
 
-void divmod_knuth(const LimbVec& a, const LimbVec& b, LimbVec& q, LimbVec& r) {
-  if (b.empty()) throw std::domain_error("division by zero");
-  if (cmp(a, b) < 0) {
-    q.clear();
-    r = a;
-    trim(r);
-    return;
+// Both kernels below share one contract: divide the (n + k)-limb u by the
+// normalized n-limb v (n >= 2, top bit set, k <= n for the recursive one).
+// q[0..k) receives the low k quotient limbs and the return value the top one
+// (0 or 1: the top n limbs of u are below beta^n <= 2v); u[0..n) is left
+// holding the remainder and u[n..n+k) is clobbered.
+
+/// Knuth Algorithm D on one block.
+Limb div_schoolbook(Limb* q, Limb* u, const Limb* v, std::size_t n,
+                    std::size_t k) {
+  Limb qtop = 0;
+  if (cmp(u + k, n, v, n) >= 0) {
+    sub_into(u + k, n, v, n);
+    qtop = 1;
   }
-  if (b.size() == 1) {
-    divmod_single_limb(a, b[0], q, r);
-    return;
-  }
-
-  // Normalize so the divisor's top bit is set.
-  const unsigned s = static_cast<unsigned>(std::countl_zero(b.back()));
-  LimbVec v = shl(b, s);
-  LimbVec u = shl(a, s);
-  const std::size_t n = v.size();
-  u.push_back(0);  // extra high limb for the first iteration
-  const std::size_t m = u.size() - n - 1;  // quotient has m+1 digits
-
-  q.assign(m + 1, 0);
-  for (std::size_t j = m + 1; j-- > 0;) {
+  for (std::size_t j = k; j-- > 0;) {
     // Estimate q[j] from the top two dividend limbs and top divisor limb.
     const unsigned __int128 num =
         (static_cast<unsigned __int128>(u[j + n]) << 64) | u[j + n - 1];
@@ -89,107 +94,61 @@ void divmod_knuth(const LimbVec& a, const LimbVec& b, LimbVec& q, LimbVec& r) {
 
     // Multiply-subtract qhat * v from u[j .. j+n].
     Limb qh = static_cast<Limb>(qhat);
-    unsigned __int128 borrow = 0;
+    Limb borrow = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      const unsigned __int128 p = static_cast<unsigned __int128>(qh) * v[i];
-      const __int128 t = static_cast<__int128>(static_cast<unsigned __int128>(u[i + j])) -
-                         static_cast<__int128>(borrow) -
-                         static_cast<__int128>(static_cast<Limb>(p));
-      u[i + j] = static_cast<Limb>(t);
-      borrow = static_cast<unsigned __int128>(p >> 64) -
-               static_cast<unsigned __int128>(t >> 64);
+      const unsigned __int128 p =
+          static_cast<unsigned __int128>(qh) * v[i] + borrow;
+      const Limb lo = static_cast<Limb>(p);
+      borrow = static_cast<Limb>(p >> 64) + (u[i + j] < lo ? 1 : 0);
+      u[i + j] -= lo;
     }
-    const __int128 t = static_cast<__int128>(static_cast<unsigned __int128>(u[j + n])) -
-                       static_cast<__int128>(borrow);
-    u[j + n] = static_cast<Limb>(t);
-
-    if (t < 0) {  // estimate was one too large: add divisor back
+    const bool negative = u[j + n] < borrow;
+    u[j + n] -= borrow;
+    if (negative) {  // estimate was one too large: add divisor back
       --qh;
-      unsigned __int128 carry = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        carry += static_cast<unsigned __int128>(u[i + j]) + v[i];
-        u[i + j] = static_cast<Limb>(carry);
-        carry >>= 64;
-      }
-      u[j + n] += static_cast<Limb>(carry);
+      u[j + n] += add_into(u + j, n, v, n);
     }
     q[j] = qh;
   }
-
-  trim(q);
-  u.resize(n);
-  r = shr(u, s);
+  return qtop;
 }
 
-namespace {
-
-using Ops = BigIntOps;
-
-BigInt make_pos(LimbVec v) { return Ops::make(std::move(v), 1); }
-
-/// One limb-vector beta power: 2^(64*limbs).
-BigInt beta_pow(std::size_t limbs) {
-  LimbVec v(limbs + 1, 0);
-  v[limbs] = 1;
-  return make_pos(std::move(v));
+/// Burnikel–Ziegler on one block (k <= n), Knuth below `threshold`.
+Limb div_bz(Limb* q, Limb* u, const Limb* v, std::size_t n, std::size_t k,
+            std::size_t threshold) {
+  if (k < threshold) return div_schoolbook(q, u, v, n, k);
+  if (k == n) {
+    // 2n/n as two (n + n/2)/n steps, high quotient half first. The second
+    // step's dividend tops out at the first one's remainder (< v), so its
+    // quotient fits its limbs and its top bit is always 0.
+    const std::size_t lo = n / 2;
+    const std::size_t hi = n - lo;
+    const Limb qtop = div_bz(q + lo, u + lo, v, n, hi, threshold);
+    div_bz(q, u, v, n, lo, threshold);
+    return qtop;
+  }
+  // (n + k)/n with k < n: divide the top 2k limbs by the top k divisor
+  // limbs, subtract the estimate times the low n - k divisor limbs, and add
+  // the divisor back while the remainder is negative.
+  const std::size_t low = n - k;
+  Limb qtop = div_bz(q, u + low, v + low, k, k, threshold);
+  Limb borrow = sub_mul(u, n, q, k, v, low);
+  if (qtop != 0) borrow += sub_into(u + k, low, v, low);
+  while (borrow != 0) {
+    const Limb one = 1;
+    qtop -= sub_into(q, k, &one, 1);
+    borrow -= add_into(u, n, v, n);
+  }
+  return qtop;
 }
 
-/// Exact reciprocal I = floor(beta^(2n) / B) for a normalized n-limb B
-/// (top bit set). Recursive Newton iteration with exact final correction.
-BigInt invert(const BigInt& b) {
-  const std::size_t n = Ops::limbs(b).size();
-  constexpr std::size_t kBaseCase = 16;
-  if (n <= kBaseCase) {
-    LimbVec num(2 * n + 1, 0);
-    num[2 * n] = 1;
-    LimbVec q, r;
-    divmod_knuth(num, Ops::limbs(b), q, r);
-    return make_pos(std::move(q));
-  }
-
-  // Reciprocal of the top h limbs, then one Newton refinement to n limbs.
-  const std::size_t h = (n + 1) / 2;
-  const BigInt bh = b.high_limbs_from(n - h);
-  const BigInt ih = invert(bh);
-
-  const BigInt x0 = ih << (64 * (n - h));
-  const BigInt beta2n = beta_pow(2 * n);
-  const BigInt e = beta2n - x0 * b;                 // signed residual
-  BigInt x1 = x0 + ((x0 * e) >> (64 * 2 * n));      // Newton step
-
-  // Exact correction: make beta^(2n) - x1*b land in [0, b).
-  BigInt d = beta2n - x1 * b;
-  while (d.is_negative()) {
-    x1 -= 1;
-    d += b;
-  }
-  while (d >= b) {
-    x1 += 1;
-    d -= b;
-  }
-  return x1;
-}
-
-/// Barrett step: divides A (< beta^(2n)) by normalized n-limb B using the
-/// precomputed exact reciprocal I = floor(beta^(2n)/B).
-void barrett_step(const BigInt& a, const BigInt& b, const BigInt& i,
-                  std::size_t n, BigInt& q, BigInt& r) {
-  const BigInt a1 = a.high_limbs_from(n);
-  q = (a1 * i) >> (64 * n);
-  r = a - q * b;
-  while (r.is_negative()) {
-    q -= 1;
-    r += b;
-  }
-  while (r >= b) {
-    q += 1;
-    r -= b;
-  }
-}
-
-}  // namespace
-
-void divmod_newton(const LimbVec& a, const LimbVec& b, LimbVec& q, LimbVec& r) {
+/// Floor division with `divide_block` producing the quotient one block of
+/// at most n limbs at a time, short block on top, after normalizing so the
+/// divisor's top bit is set. Zero, single-limb and larger divisors than
+/// dividends are handled here.
+template <class DivideBlock>
+void divide(const LimbVec& a, const LimbVec& b, LimbVec& q, LimbVec& r,
+            DivideBlock divide_block) {
   if (b.empty()) throw std::domain_error("division by zero");
   if (cmp(a, b) < 0) {
     q.clear();
@@ -197,47 +156,53 @@ void divmod_newton(const LimbVec& a, const LimbVec& b, LimbVec& q, LimbVec& r) {
     trim(r);
     return;
   }
-
-  const unsigned s = static_cast<unsigned>(std::countl_zero(b.back()));
-  const BigInt bb = make_pos(shl(b, s));
-  BigInt rem = make_pos(shl(a, s));
-  const std::size_t n = Ops::limbs(bb).size();
-  const BigInt inv = invert(bb);
-
-  BigInt quot;  // accumulated quotient
-  while (rem >= bb) {
-    const std::size_t k = rem.limb_count();
-    if (k <= 2 * n) {
-      BigInt qs, rs;
-      barrett_step(rem, bb, inv, n, qs, rs);
-      quot += qs;
-      rem = std::move(rs);
-    } else {
-      // Peel off the top 2n limbs, divide them, and fold the remainder back.
-      const std::size_t j = k - 2 * n;
-      const BigInt hi = rem.high_limbs_from(j);
-      const BigInt lo = rem.low_limbs(j);
-      BigInt qs, rs;
-      barrett_step(hi, bb, inv, n, qs, rs);
-      quot += qs << (64 * j);
-      rem = (rs << (64 * j)) + lo;
-    }
+  if (b.size() == 1) {
+    divmod_single_limb(a, b[0], q, r);
+    return;
   }
+  const unsigned s = static_cast<unsigned>(std::countl_zero(b.back()));
+  const LimbVec v = shl(b, s);
+  LimbVec u = shl(a, s);
+  const std::size_t n = v.size();
+  const std::size_t k = u.size() - n;  // the quotient has k + 1 limbs
 
-  q = Ops::limbs(quot);
+  q.assign(k + 1, 0);
+  std::size_t top = k % n;
+  if (top == 0) top = std::min(k, n);
+  std::size_t pos = k - top;
+  q[k] = divide_block(q.data() + pos, u.data() + pos, v.data(), n, top);
+  while (pos > 0) {
+    pos -= n;
+    divide_block(q.data() + pos, u.data() + pos, v.data(), n, n);
+  }
   trim(q);
-  r = shr(Ops::limbs(rem), s);
+  u.resize(n);
+  r = shr(u, s);
+}
+
+}  // namespace
+
+void divmod_knuth(const LimbVec& a, const LimbVec& b, LimbVec& q, LimbVec& r) {
+  divide(a, b, q, r, div_schoolbook);
+}
+
+void divmod_bz(const LimbVec& a, const LimbVec& b, LimbVec& q, LimbVec& r) {
+  const std::size_t threshold =
+      std::max<std::size_t>(Tuning::bz_div_threshold(), 2);
+  divide(a, b, q, r,
+         [threshold](Limb* qp, Limb* up, const Limb* vp, std::size_t n,
+                     std::size_t k) {
+           return div_bz(qp, up, vp, n, k, threshold);
+         });
 }
 
 void divmod(const LimbVec& a, const LimbVec& b, LimbVec& q, LimbVec& r) {
   static const int limbs_label = obs::mem::register_label("bn.limbs");
   obs::MemScope mem_scope(limbs_label, /*only_if_unattributed=*/true);
-  const std::size_t threshold = Tuning::newton_div_threshold();
-  const bool big_divisor = b.size() >= threshold;
-  const bool big_quotient = a.size() >= b.size() + threshold / 2;
-  if (big_divisor && big_quotient) {
-    obs::prof::Frame frame("bn.div.newton");
-    divmod_newton(a, b, q, r);
+  const std::size_t threshold = Tuning::bz_div_threshold();
+  if (b.size() >= threshold && a.size() >= b.size() + threshold) {
+    obs::prof::Frame frame("bn.div.bz");
+    divmod_bz(a, b, q, r);
   } else {
     obs::prof::Frame frame("bn.div.knuth");
     divmod_knuth(a, b, q, r);

@@ -4,6 +4,7 @@
 // p = gcd(N_i, z_i / N_i)); operand sizes there are modulus-sized, so the
 // O(bits^2 / 64) binary GCD is the right tool. Extended GCD (classic
 // Euclid on quotients) backs modular inversion for RSA private exponents.
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 #include <utility>
@@ -14,39 +15,66 @@ namespace weakkeys::bn {
 
 namespace {
 
-std::size_t trailing_zero_bits(const BigInt& v) {
-  const auto limbs = v.limbs();
-  std::size_t bits = 0;
-  for (std::size_t i = 0; i < limbs.size(); ++i) {
-    if (limbs[i] == 0) {
-      bits += 64;
-      continue;
+using detail::LimbVec;
+
+/// Shifts v right past its trailing zero bits, in place, and trims it.
+/// Returns the number of bits removed. v must be nonzero.
+std::size_t strip_trailing_zeros(Limb* v, std::size_t& n) {
+  std::size_t skip = 0;
+  while (v[skip] == 0) ++skip;
+  const unsigned bits = static_cast<unsigned>(std::countr_zero(v[skip]));
+  const std::size_t m = n - skip;
+  if (bits == 0) {
+    if (skip != 0) std::copy(v + skip, v + n, v);
+  } else {
+    for (std::size_t i = 0; i < m; ++i) {
+      const Limb next = i + 1 < m ? v[skip + i + 1] << (64 - bits) : 0;
+      v[i] = (v[skip + i] >> bits) | next;
     }
-    return bits + static_cast<std::size_t>(std::countr_zero(limbs[i]));
   }
-  return bits;
+  n = m;
+  while (v[n - 1] == 0) --n;
+  return skip * 64 + bits;
 }
 
 }  // namespace
 
 BigInt gcd(const BigInt& a_in, const BigInt& b_in) {
-  BigInt a = a_in.abs();
-  BigInt b = b_in.abs();
-  if (a.is_zero()) return b;
-  if (b.is_zero()) return a;
+  if (a_in.is_zero()) return b_in.abs();
+  if (b_in.is_zero()) return a_in.abs();
 
-  const std::size_t za = trailing_zero_bits(a);
-  const std::size_t zb = trailing_zero_bits(b);
-  const std::size_t shared = std::min(za, zb);
-  a >>= za;
-  b >>= zb;
-  // Binary GCD: both odd from here on.
-  while (a != b) {
-    if (a < b) std::swap(a, b);
-    a -= b;  // even, nonzero
-    a >>= trailing_zero_bits(a);
+  // Binary GCD on two limb buffers, in place: subtract the smaller odd value
+  // from the larger, strip the (nonzero) even result's trailing zeros, and
+  // swap roles by pointer. No allocation after the two copies.
+  LimbVec a(a_in.limbs().begin(), a_in.limbs().end());
+  LimbVec b(b_in.limbs().begin(), b_in.limbs().end());
+  Limb* x = a.data();
+  Limb* y = b.data();
+  std::size_t xn = a.size();
+  std::size_t yn = b.size();
+  const std::size_t shared =
+      std::min(strip_trailing_zeros(x, xn), strip_trailing_zeros(y, yn));
+  while (xn > 1 || yn > 1) {
+    const int c = detail::cmp(x, xn, y, yn);
+    if (c == 0) break;
+    if (c < 0) {
+      std::swap(x, y);
+      std::swap(xn, yn);
+    }
+    detail::sub_into(x, xn, y, yn);
+    strip_trailing_zeros(x, xn);
   }
-  return a << shared;
+  if (xn == 1 && yn == 1) {
+    Limb u = x[0];
+    Limb v = y[0];
+    while (u != v) {
+      if (u < v) std::swap(u, v);
+      u -= v;
+      u >>= std::countr_zero(u);
+    }
+    x[0] = u;
+  }
+  return BigInt::from_limbs(LimbVec(x, x + xn)) << shared;
 }
 
 ExtendedGcd extended_gcd(const BigInt& a, const BigInt& b) {

@@ -1,9 +1,14 @@
-// Multiplication: schoolbook below the Karatsuba threshold, Karatsuba above.
+// Multiplication: schoolbook below the Karatsuba threshold, Karatsuba above,
+// Toom-3 for the largest operands.
 //
 // The product tree over the full key corpus multiplies numbers of hundreds of
 // thousands of limbs; a quadratic multiply would make the batch GCD
 // computation infeasible (Section 3.2 of the paper), so the subquadratic path
-// is load-bearing, not an optimization nicety.
+// is load-bearing, not an optimization nicety. Schoolbook and Karatsuba work
+// in place on limb pointers: a top-level call sizes one output and one
+// scratch buffer up front, and the recursion allocates nothing.
+#include <algorithm>
+
 #include "bn/detail.hpp"
 #include "obs/mem.hpp"
 #include "obs/prof_stack.hpp"
@@ -26,100 +31,109 @@ std::size_t& Tuning::toom3_threshold() {
 
 namespace detail {
 
-LimbVec mul_schoolbook(const LimbVec& a, const LimbVec& b) {
-  if (a.empty() || b.empty()) return {};
-  LimbVec out(a.size() + b.size(), 0);
-  for (std::size_t i = 0; i < a.size(); ++i) {
+namespace {
+
+/// out[0..an+bn) = a * b, schoolbook. out must not overlap the inputs.
+void mul_basecase(Limb* out, const Limb* a, std::size_t an, const Limb* b,
+                  std::size_t bn) {
+  std::fill(out, out + an + bn, Limb{0});
+  for (std::size_t i = 0; i < an; ++i) {
     unsigned __int128 carry = 0;
     const Limb ai = a[i];
-    for (std::size_t j = 0; j < b.size(); ++j) {
+    for (std::size_t j = 0; j < bn; ++j) {
       carry += static_cast<unsigned __int128>(ai) * b[j] + out[i + j];
       out[i + j] = static_cast<Limb>(carry);
       carry >>= 64;
     }
-    out[i + b.size()] = static_cast<Limb>(carry);
-  }
-  trim(out);
-  return out;
-}
-
-namespace {
-
-LimbVec take_low(const LimbVec& v, std::size_t count) {
-  LimbVec out(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(
-                                         std::min(count, v.size())));
-  trim(out);
-  return out;
-}
-
-LimbVec take_high(const LimbVec& v, std::size_t from) {
-  if (from >= v.size()) return {};
-  LimbVec out(v.begin() + static_cast<std::ptrdiff_t>(from), v.end());
-  trim(out);
-  return out;
-}
-
-/// out += v << (shift limbs). out must already be large enough.
-void add_shifted_into(LimbVec& out, const LimbVec& v, std::size_t shift) {
-  unsigned __int128 carry = 0;
-  std::size_t i = 0;
-  for (; i < v.size(); ++i) {
-    carry += out[shift + i];
-    carry += v[i];
-    out[shift + i] = static_cast<Limb>(carry);
-    carry >>= 64;
-  }
-  while (carry) {
-    carry += out[shift + i];
-    out[shift + i] = static_cast<Limb>(carry);
-    carry >>= 64;
-    ++i;
+    out[i + bn] = static_cast<Limb>(carry);
   }
 }
 
-/// out -= v << (shift limbs); requires out >= v << shift.
-void sub_shifted_into(LimbVec& out, const LimbVec& v, std::size_t shift) {
-  std::uint64_t borrow = 0;
-  std::size_t i = 0;
-  for (; i < v.size(); ++i) {
-    const Limb oi = out[shift + i];
-    const Limb d1 = oi - v[i];
-    const std::uint64_t b1 = oi < v[i];
-    const Limb d2 = d1 - borrow;
-    const std::uint64_t b2 = d1 < borrow;
-    out[shift + i] = d2;
-    borrow = b1 | b2;
+/// out[0..n) = x[0..xn) + y[0..yn) (yn <= xn, n = xn + 1); returns the
+/// significant length (xn, or xn + 1 on a carry out).
+std::size_t add_to(Limb* out, const Limb* x, std::size_t xn, const Limb* y,
+                   std::size_t yn) {
+  std::copy(x, x + xn, out);
+  out[xn] = add_into(out, xn, y, yn);
+  return out[xn] != 0 ? xn + 1 : xn;
+}
+
+/// Scratch limbs karatsuba() needs when the longer operand has n limbs.
+std::size_t karatsuba_scratch(std::size_t n, std::size_t threshold) {
+  if (n < threshold) return 0;
+  const std::size_t m = (n + 1) / 2;
+  return 4 * m + 4 + karatsuba_scratch(m + 1, threshold);
+}
+
+/// out[0..an+bn) = a * b with an >= bn; `scratch` holds
+/// karatsuba_scratch(an) limbs. Splits at m = ceil(an/2):
+/// a*b = z2*B^2m + (z1 - z2 - z0)*B^m + z0 with z1 = (a0+a1)(b0+b1).
+/// `threshold` must be at least 4 so the m + 1 limb sums shrink.
+void karatsuba(Limb* out, const Limb* a, std::size_t an, const Limb* b,
+               std::size_t bn, Limb* scratch, std::size_t threshold) {
+  if (bn < threshold) {
+    mul_basecase(out, a, an, b, bn);
+    return;
   }
-  while (borrow) {
-    const Limb oi = out[shift + i];
-    out[shift + i] = oi - borrow;
-    borrow = oi < borrow;
-    ++i;
+  const std::size_t m = (an + 1) / 2;
+  if (bn <= m) {
+    // Lopsided: multiply b by bn-limb slices of a and accumulate.
+    Limb* slice = scratch;  // 2 * bn limbs
+    std::fill(out, out + an + bn, Limb{0});
+    for (std::size_t pos = 0; pos < an; pos += bn) {
+      const std::size_t len = std::min(bn, an - pos);
+      if (len >= bn) {
+        karatsuba(slice, a + pos, len, b, bn, scratch + 2 * bn, threshold);
+      } else {
+        karatsuba(slice, b, bn, a + pos, len, scratch + 2 * bn, threshold);
+      }
+      add_into(out + pos, an + bn - pos, slice, len + bn);
+    }
+    return;
   }
+  const std::size_t a1n = an - m;
+  const std::size_t b1n = bn - m;
+  karatsuba(out, a, m, b, m, scratch, threshold);                     // z0
+  karatsuba(out + 2 * m, a + m, a1n, b + m, b1n, scratch, threshold);  // z2
+
+  Limb* sa = scratch;
+  Limb* sb = sa + m + 1;
+  Limb* z1 = sb + m + 1;
+  const std::size_t san = add_to(sa, a, m, a + m, a1n);
+  const std::size_t sbn = add_to(sb, b, m, b + m, b1n);
+  if (san >= sbn) {
+    karatsuba(z1, sa, san, sb, sbn, z1 + 2 * m + 2, threshold);
+  } else {
+    karatsuba(z1, sb, sbn, sa, san, z1 + 2 * m + 2, threshold);
+  }
+  const std::size_t z1n = san + sbn;
+  sub_into(z1, z1n, out, 2 * m);                   // - z0
+  sub_into(z1, z1n, out + 2 * m, an + bn - 2 * m);  // - z2
+  // z1 - z0 - z2 = a0*b1 + a1*b0 fits below B^(an+bn-m); limbs past that
+  // are zero.
+  add_into(out + m, an + bn - m, z1, std::min(z1n, an + bn - m));
 }
 
 }  // namespace
 
+LimbVec mul_schoolbook(const LimbVec& a, const LimbVec& b) {
+  if (a.empty() || b.empty()) return {};
+  LimbVec out(a.size() + b.size());
+  mul_basecase(out.data(), a.data(), a.size(), b.data(), b.size());
+  trim(out);
+  return out;
+}
+
 LimbVec mul_karatsuba(const LimbVec& a, const LimbVec& b) {
-  const std::size_t threshold = Tuning::karatsuba_threshold();
-  if (std::min(a.size(), b.size()) < threshold) return mul_schoolbook(a, b);
-
-  // Split at half of the larger operand: x = x1*B^m + x0.
-  const std::size_t m = std::max(a.size(), b.size()) / 2;
-  const LimbVec a0 = take_low(a, m), a1 = take_high(a, m);
-  const LimbVec b0 = take_low(b, m), b1 = take_high(b, m);
-
-  const LimbVec z0 = mul_karatsuba(a0, b0);
-  const LimbVec z2 = mul_karatsuba(a1, b1);
-  const LimbVec z1 = mul_karatsuba(add(a0, a1), add(b0, b1));
-
-  // result = z2*B^2m + (z1 - z2 - z0)*B^m + z0.
-  LimbVec out(a.size() + b.size() + 1, 0);
-  add_shifted_into(out, z0, 0);
-  add_shifted_into(out, z1, m);
-  sub_shifted_into(out, z0, m);
-  sub_shifted_into(out, z2, m);
-  add_shifted_into(out, z2, 2 * m);
+  if (a.empty() || b.empty()) return {};
+  const LimbVec& x = a.size() >= b.size() ? a : b;
+  const LimbVec& y = a.size() >= b.size() ? b : a;
+  const std::size_t threshold =
+      std::max<std::size_t>(Tuning::karatsuba_threshold(), 4);
+  LimbVec out(x.size() + y.size());
+  LimbVec scratch(karatsuba_scratch(x.size(), threshold));
+  karatsuba(out.data(), x.data(), x.size(), y.data(), y.size(),
+            scratch.data(), threshold);
   trim(out);
   return out;
 }

@@ -528,6 +528,10 @@ class ProcessCoordinator {
     }
     slot.state = SlotState::kLive;
     slot.last_pong = Clock::now();
+    // First heartbeat on the next tick, ahead of the first task: every
+    // session gets an RTT sample and a clock-offset estimate, however short
+    // the run.
+    slot.last_ping = slot.last_pong - config_.heartbeat_interval;
     refresh_alive_gauge();
     ++slot.epoch;
     slot.rx = std::thread([this, id = slot.id, epoch = slot.epoch] {
@@ -1345,6 +1349,18 @@ class ProcessCoordinator {
       msg.parent_span = assign_span;
       msg.assign_ts_ns = t;
     }
+    // Process-tier fault injection: the decision is keyed on (task,
+    // attempt) like every other tier, so the schedule is independent of
+    // which worker drew the assignment. The victim is stopped before the
+    // assignment goes out, so it dies (or hangs) with this task unread —
+    // a small task would otherwise be finished between send() and kill().
+    // Remote workers are out of signal reach — their chaos comes from the
+    // connection tier.
+    auto fault = util::ProcessFaultKind::kNone;
+    if (config_.injector && !slot.is_remote && slot.pid > 0) {
+      fault = config_.injector->decide_process(p.task, p.attempt);
+      if (fault != util::ProcessFaultKind::kNone) ::kill(slot.pid, SIGSTOP);
+    }
     if (!slot.conn->send(MsgType::kTaskAssign, msg.encode(slot.version),
                          /*injectable=*/true)) {
       fleet_.end_assign(assign_span, now_ns(), /*committed=*/false);
@@ -1364,23 +1380,16 @@ class ProcessCoordinator {
       if (m_retries_) m_retries_->inc();
     }
 
-    // Process-tier fault injection: the decision is keyed on (task,
-    // attempt) like every other tier, so the schedule is independent of
-    // which worker drew the assignment. Remote workers are out of signal
-    // reach — their chaos comes from the connection tier.
-    if (config_.injector && !slot.is_remote && slot.pid > 0) {
-      switch (config_.injector->decide_process(p.task, p.attempt)) {
-        case util::ProcessFaultKind::kSigkill:
-          ++stats_.sigkills_injected;
-          ::kill(slot.pid, SIGKILL);
-          break;
-        case util::ProcessFaultKind::kSigstop:
-          ++stats_.sigstops_injected;
-          ::kill(slot.pid, SIGSTOP);
-          break;
-        case util::ProcessFaultKind::kNone:
-          break;
-      }
+    switch (fault) {
+      case util::ProcessFaultKind::kSigkill:
+        ++stats_.sigkills_injected;
+        ::kill(slot.pid, SIGKILL);
+        break;
+      case util::ProcessFaultKind::kSigstop:
+        ++stats_.sigstops_injected;  // stopped above
+        break;
+      case util::ProcessFaultKind::kNone:
+        break;
     }
   }
 
@@ -1453,6 +1462,10 @@ class ProcessCoordinator {
       if (cleaned_up_) return;
       cleaned_up_ = true;
       for (Slot& slot : slots_) {
+        // Nothing is left to deliver: a cache fill still streaming would
+        // only race the drain below, and a failed chunk send there severs
+        // the link under the worker's final telemetry flush.
+        slot.transfers.clear();
         if (slot.state == SlotState::kLive && slot.conn) {
           slot.conn->send(MsgType::kShutdown, {});
         }

@@ -1,5 +1,6 @@
 #include "cluster/protocol.hpp"
 
+#include <cstring>
 #include <thread>
 
 #include "core/binary_io.hpp"
@@ -492,13 +493,15 @@ bool FrameConn::send(MsgType type, const std::vector<std::uint8_t>& body,
     ++stats_.delayed;
   }
 
-  core::BufferWriter header;
-  header.u32(static_cast<std::uint32_t>(payload.size()));
-  header.u32(crc);
-  if (!util::net::write_full(fd_, header.data().data(), header.data().size()))
-    return false;
-  if (!util::net::write_full(fd_, payload.data(), payload.size()))
-    return false;
+  // One write per frame: a header segment trailed by a payload segment
+  // would meet the peer's delayed ACK and stall each round trip.
+  const auto length = static_cast<std::uint32_t>(payload.size());
+  std::vector<std::uint8_t> frame(8);
+  frame.reserve(8 + payload.size());
+  std::memcpy(frame.data(), &length, 4);
+  std::memcpy(frame.data() + 4, &crc, 4);
+  frame.insert(frame.end(), payload.begin(), payload.end());
+  if (!util::net::write_full(fd_, frame.data(), frame.size())) return false;
   ++stats_.sent;
   return true;
 }

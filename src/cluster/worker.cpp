@@ -79,7 +79,6 @@ class Worker {
     util::net::ignore_sigpipe();
     int code = kWorkerExitProtocol;
     std::thread compute;
-    bool compute_started = false;
     auto backoff = config_.reconnect_backoff;
     auto give_up_at = Clock::now() + config_.reconnect_window;
 
@@ -122,12 +121,22 @@ class Worker {
 
       install_link(link);
       if (resuming) replay_outbox(link.get());
-      if (!compute_started) {
+      if (!compute.joinable()) {
         compute = std::thread([this] { compute_loop(); });
-        compute_started = true;
       }
 
       code = rx_loop(link.get());
+      if (code == kWorkerExitOk) {
+        // Shutdown. Final telemetry flush before the link closes: the
+        // coordinator drains its RX side until EOF, so the last tasks'
+        // spans and the final counter values make it into the fleet view.
+        // The compute thread stops first: it records a task's send span
+        // after the result is on the wire, and the answer to the last
+        // result can be this very Shutdown. Best-effort — a dead link at
+        // this point just loses the tail.
+        stop_compute(compute);
+        maybe_send_telemetry(link.get(), /*force=*/true);
+      }
       drop_link(link.get());
       if (code != kLinkLost) break;
       if (!config_.session_reconnect || session_id_ == 0) {
@@ -140,19 +149,23 @@ class Worker {
       backoff = config_.reconnect_backoff;
     }
 
-    if (compute_started) {
-      {
-        std::lock_guard guard(mu_);
-        stop_ = true;
-      }
-      cv_.notify_all();
-      compute.join();
-    }
+    stop_compute(compute);
     return code == kLinkLost ? kWorkerExitProtocol : code;
   }
 
  private:
   enum class Handshake : std::uint8_t { kOk, kRetry, kFatal };
+
+  /// Lets the compute thread drain its queue and exit, then joins it.
+  void stop_compute(std::thread& compute) {
+    if (!compute.joinable()) return;
+    {
+      std::lock_guard guard(mu_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+    compute.join();
+  }
 
   void log(const std::string& message) const {
     if (config_.log) config_.log(message);
@@ -488,12 +501,7 @@ class Worker {
           break;
         }
         case MsgType::kShutdown:
-          // Final telemetry flush before the link closes: the coordinator
-          // drains its RX side until EOF, so the last tasks' spans and the
-          // final counter values make it into the fleet view. Best-effort —
-          // a dead link at this point just loses the tail.
-          maybe_send_telemetry(link, /*force=*/true);
-          return kWorkerExitOk;
+          return kWorkerExitOk;  // run() flushes the final telemetry
         default:
           break;  // unknown/unexpected types are ignored, not fatal
       }

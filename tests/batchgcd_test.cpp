@@ -7,6 +7,7 @@
 #include "batchgcd/remainder_tree.hpp"
 #include "rng/prng_source.hpp"
 #include "rsa/keygen.hpp"
+#include "scoped_tuning.hpp"
 #include "util/thread_pool.hpp"
 
 namespace weakkeys::batchgcd {
@@ -138,6 +139,21 @@ TEST(BatchGcd, NaiveMatchesTree) {
   const auto tree = batch_gcd(corpus.moduli);
   const auto naive = naive_pairwise_gcd(corpus.moduli);
   EXPECT_EQ(tree.divisors, naive.divisors);
+}
+
+TEST(BatchGcd, DivisionCrossoverMidTreeMatchesNaive) {
+  // 127 two-limb moduli: node squares grow from 4 to 512 limbs, so a
+  // 16-limb crossover puts the low levels of the remainder tree on Knuth
+  // and the upper ones on Burnikel–Ziegler.
+  Corpus corpus = make_corpus(120, 13);
+  const auto naive = naive_pairwise_gcd(corpus.moduli);
+  const bn::ScopedThreshold scoped(bn::Tuning::bz_div_threshold(), 16);
+  const auto tree = batch_gcd(corpus.moduli);
+  ASSERT_EQ(tree.divisors.size(), naive.divisors.size());
+  for (std::size_t i = 0; i < naive.divisors.size(); ++i) {
+    EXPECT_EQ(tree.divisors[i], naive.divisors[i]) << "modulus " << i;
+  }
+  EXPECT_EQ(tree.vulnerable_indices().size(), 7u);
 }
 
 class DistributedEquivalence : public ::testing::TestWithParam<std::size_t> {};

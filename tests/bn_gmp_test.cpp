@@ -5,7 +5,8 @@
 
 #include <string>
 
-#include "bn/bigint.hpp"
+#include "bn/detail.hpp"
+#include "scoped_tuning.hpp"
 #include "util/prng.hpp"
 
 namespace weakkeys::bn {
@@ -100,7 +101,7 @@ TEST_P(GmpDifferential, ModPowAgrees) {
 }
 
 TEST_P(GmpDifferential, HugeOperandsAgree) {
-  // Forces the Karatsuba and Newton-division paths.
+  // Forces the Karatsuba and Burnikel–Ziegler division paths.
   const auto [a, ah] = draw(400000);
   auto [b, bh] = draw(150000);
   if (b.is_zero()) b = BigInt(1);
@@ -116,6 +117,71 @@ TEST_P(GmpDifferential, HugeOperandsAgree) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GmpDifferential,
                          ::testing::Values(101, 202, 303, 404, 505));
+
+// ---------------------------------------------------- division crossovers ----
+
+/// A value of exactly `limbs` limbs; `top` (when nonzero) replaces the top
+/// limb and `low_ones` sets every limb below it to all ones.
+BigInt limbs_value(util::Xoshiro256& rng, std::size_t limbs, Limb top = 0,
+                   bool low_ones = false) {
+  std::vector<Limb> v(limbs);
+  for (Limb& limb : v) limb = low_ones ? ~Limb{0} : rng();
+  v.back() = top != 0 ? top : (rng() | 1);
+  return BigInt::from_limbs(std::move(v));
+}
+
+/// Checks the dispatcher and the Burnikel–Ziegler kernel itself (which the
+/// dispatcher skips for short quotients) against mpz_tdiv_qr.
+void expect_division_matches_gmp(const BigInt& a, const BigInt& b,
+                                 const std::string& what) {
+  Mpz A(a.to_hex()), B(b.to_hex()), Q, R;
+  mpz_tdiv_qr(Q.v, R.v, A.v, B.v);
+  const auto dm = BigInt::divmod(a, b);
+  EXPECT_EQ(dm.quotient.to_hex(), Q.hex()) << what;
+  EXPECT_EQ(dm.remainder.to_hex(), R.hex()) << what;
+  detail::LimbVec q, r;
+  detail::divmod_bz(BigIntOps::limbs(a), BigIntOps::limbs(b), q, r);
+  EXPECT_EQ(BigInt::from_limbs(q).to_hex(), Q.hex()) << what << " (bz)";
+  EXPECT_EQ(BigInt::from_limbs(r).to_hex(), R.hex()) << what << " (bz)";
+}
+
+class DivisionCrossover : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(DivisionCrossover, MatchesGmpAtTinyThresholds) {
+  const ScopedThreshold scoped(Tuning::bz_div_threshold(), GetParam());
+  util::Xoshiro256 rng(GetParam());
+  for (std::size_t n : {2u, 3u, 4u, 5u, 7u, 8u, 16u, 17u, 31u, 32u, 33u, 64u,
+                        65u, 100u}) {
+    // Top divisor limb: random, 1 (the largest normalization shift), and
+    // all ones (none); the last flavour also fills the low limbs with ones,
+    // which makes quotient estimates from the top limbs overshoot.
+    for (int flavour = 0; flavour < 4; ++flavour) {
+      const Limb top = flavour == 1 ? 1 : (flavour >= 2 ? ~Limb{0} : 0);
+      const BigInt b = limbs_value(rng, n, top, flavour == 3);
+      for (std::size_t times = 1; times <= 5; ++times) {
+        const std::string what = "n=" + std::to_string(n) +
+                                 " flavour=" + std::to_string(flavour) +
+                                 " times=" + std::to_string(times);
+        // Random dividends of times * n limbs, give or take one.
+        expect_division_matches_gmp(
+            limbs_value(rng, times * n - 1 + rng.below(3)), b,
+            what + " random");
+        // Exact multiples, and the values either side of one: q*b - 1 makes
+        // every top-limb quotient estimate one too large, so the add-back
+        // corrections run; q*b + b - 1 is the largest remainder.
+        const BigInt q = limbs_value(rng, (times - 1) * n + 1);
+        const BigInt multiple = q * b;
+        expect_division_matches_gmp(multiple, b, what + " exact");
+        expect_division_matches_gmp(multiple - BigInt(1), b, what + " q*b-1");
+        expect_division_matches_gmp(multiple + b - BigInt(1), b,
+                                    what + " q*b+b-1");
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Thresholds, DivisionCrossover,
+                         ::testing::Values(2, 3, 8, 17));
 
 }  // namespace
 }  // namespace weakkeys::bn

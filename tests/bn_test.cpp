@@ -4,6 +4,7 @@
 
 #include "bn/bigint.hpp"
 #include "rng/prng_source.hpp"
+#include "scoped_tuning.hpp"
 #include "util/prng.hpp"
 
 namespace weakkeys::bn {
@@ -164,7 +165,7 @@ TEST(BigInt, Ordering) {
 }
 
 // Property sweep: a = q*b + r with |r| < |b| and sign(r) == sign(a),
-// across random operand shapes (exercises Knuth, Newton, and the
+// across random operand shapes (exercises Knuth, Burnikel–Ziegler, and the
 // single-limb paths).
 class DivModProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -387,21 +388,18 @@ TEST(Tuning, Toom3HandlesLopsidedOperands) {
   toom = saved;
 }
 
-TEST(Tuning, NewtonDivisionMatchesKnuthAcrossThresholds) {
+TEST(Tuning, BurnikelZieglerMatchesKnuthAcrossThresholds) {
   util::Xoshiro256 rng(32);
   const BigInt a = random_value(rng, 16000);
   const BigInt b = random_value(rng, 7000) + BigInt(1);
   const auto reference = BigInt::divmod(a, b);
 
-  auto& threshold = Tuning::newton_div_threshold();
-  const std::size_t saved = threshold;
-  for (std::size_t t : {8u, 32u, 1000000u}) {
-    threshold = t;
+  for (std::size_t t : {2u, 8u, 32u, 1000000u}) {
+    const ScopedThreshold scoped(Tuning::bz_div_threshold(), t);
     const auto got = BigInt::divmod(a, b);
     EXPECT_EQ(got.quotient, reference.quotient) << "threshold " << t;
     EXPECT_EQ(got.remainder, reference.remainder) << "threshold " << t;
   }
-  threshold = saved;
 }
 
 }  // namespace

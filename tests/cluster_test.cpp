@@ -423,6 +423,35 @@ TEST_F(FramePair, PeerDeathBetweenFramesFailsSendWithoutSigpipe) {
   EXPECT_TRUE(failed);
 }
 
+TEST(ClusterProtocol, LoopbackFrameConnsSetNodelayOnBothEnds) {
+  // A frame is one write followed by a wait for the reply; with Nagle on,
+  // each exchange would stall on the peer's delayed ACK.
+  util::net::UniqueFd listener(util::net::listen_tcp("127.0.0.1", 0, 4));
+  ASSERT_TRUE(listener.valid());
+  util::net::UniqueFd client(util::net::connect_tcp(
+      "127.0.0.1",
+      static_cast<std::uint16_t>(util::net::local_port(listener.get())),
+      std::chrono::milliseconds(2000)));
+  ASSERT_TRUE(client.valid());
+  util::net::UniqueFd server(util::net::accept_cloexec(listener.get()));
+  ASSERT_TRUE(server.valid());
+
+  FrameConn tx(client.get(), 0);
+  FrameConn rx(server.get(), 1);
+  for (const FrameConn* conn : {&tx, &rx}) {
+    int nodelay = 0;
+    socklen_t len = sizeof(nodelay);
+    ASSERT_EQ(::getsockopt(conn->fd(), IPPROTO_TCP, TCP_NODELAY, &nodelay,
+                           &len),
+              0);
+    EXPECT_NE(nodelay, 0) << "fd " << conn->fd();
+  }
+  ASSERT_TRUE(tx.send(MsgType::kPing, PingMsg{3, 0, 0}.encode()));
+  Frame frame;
+  ASSERT_EQ(rx.recv(&frame, std::chrono::milliseconds(2000)), RecvStatus::kOk);
+  EXPECT_EQ(frame.type, MsgType::kPing);
+}
+
 // --------------------------------------------------------- fault-free e2e ----
 
 TEST(Cluster, FaultFreeMatchesBatchGcdAcrossWorkerCounts) {
