@@ -191,8 +191,10 @@ BigInt random_range(RandomSource& src, const BigInt& low, const BigInt& high);
 /// probability >= 1 - 4^-rounds.
 bool is_probable_prime(const BigInt& n, RandomSource& src, int rounds = 16);
 
-/// The first `count` primes (2, 3, 5, ...), computed by sieve.
-const std::vector<std::uint32_t>& small_primes(std::size_t count);
+/// The first `count` primes (2, 3, 5, ...): a view of a table of every
+/// prime below 2^17, sieved once and shared lock-free. Throws
+/// std::out_of_range when `count` exceeds the table (12,251 primes).
+std::span<const std::uint32_t> small_primes(std::size_t count);
 
 /// n mod p for a single small prime (fast limb scan, no allocation).
 std::uint64_t mod_small(const BigInt& n, std::uint64_t p);

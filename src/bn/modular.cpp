@@ -3,9 +3,11 @@
 // Odd moduli (the common case: Miller-Rabin on prime candidates, RSA ops)
 // use Montgomery multiplication (CIOS); even moduli fall back to
 // multiply-then-divide. Exponentiation is left-to-right binary.
+#include <algorithm>
 #include <stdexcept>
 
 #include "bn/detail.hpp"
+#include "obs/prof_stack.hpp"
 
 namespace weakkeys::bn {
 
@@ -34,46 +36,21 @@ class MontgomeryCtx {
   }
 
   /// CIOS Montgomery product: a*b*beta^{-n} mod m. Inputs/outputs are
-  /// n-limb little-endian arrays (values < m).
-  void mul(const LimbVec& a, const LimbVec& b, LimbVec& out) const {
-    LimbVec t(n_ + 2, 0);
-    for (std::size_t i = 0; i < n_; ++i) {
-      // t += a[i] * b
-      unsigned __int128 carry = 0;
-      const Limb ai = a[i];
-      for (std::size_t j = 0; j < n_; ++j) {
-        carry += static_cast<unsigned __int128>(ai) * b[j] + t[j];
-        t[j] = static_cast<Limb>(carry);
-        carry >>= 64;
-      }
-      carry += t[n_];
-      t[n_] = static_cast<Limb>(carry);
-      t[n_ + 1] = static_cast<Limb>(carry >> 64);
-
-      // t += (t[0] * n0') * m, then t >>= 64
-      const Limb mi = t[0] * n0_;
-      carry = static_cast<unsigned __int128>(mi) * m_[0] + t[0];
-      carry >>= 64;
-      for (std::size_t j = 1; j < n_; ++j) {
-        carry += static_cast<unsigned __int128>(mi) * m_[j] + t[j];
-        t[j - 1] = static_cast<Limb>(carry);
-        carry >>= 64;
-      }
-      carry += t[n_];
-      t[n_ - 1] = static_cast<Limb>(carry);
-      t[n_] = t[n_ + 1] + static_cast<Limb>(carry >> 64);
-      t[n_ + 1] = 0;
+  /// n-limb little-endian arrays (values < m); `out` may alias an input.
+  /// The n+2-limb accumulator is the context's scratch, so once `out` holds
+  /// n limbs a product allocates nothing.
+  void mul(const LimbVec& a, const LimbVec& b, LimbVec& out) {
+    out.resize(n_);
+    // Fixed sizes let the compiler unroll the limb loops of the key and
+    // prime sizes the simulation uses (128-256 bits).
+    switch (n_) {
+      case 2: return cios<2>(a.data(), b.data(), out.data());
+      case 4: return cios<4>(a.data(), b.data(), out.data());
+      default: return cios<0>(a.data(), b.data(), out.data());
     }
-    // Conditional final subtraction: t may be in [0, 2m).
-    t.resize(n_ + 1);
-    LimbVec tv = t;
-    detail::trim(tv);
-    if (detail::cmp(tv, m_) >= 0) tv = detail::sub(tv, m_);
-    tv.resize(n_, 0);
-    out = std::move(tv);
   }
 
-  [[nodiscard]] LimbVec to_mont(const BigInt& x) const {
+  [[nodiscard]] LimbVec to_mont(const BigInt& x) {
     LimbVec xv(BigIntOps::limbs(x));
     xv.resize(n_, 0);
     LimbVec out;
@@ -81,7 +58,7 @@ class MontgomeryCtx {
     return out;
   }
 
-  [[nodiscard]] BigInt from_mont(const LimbVec& x) const {
+  [[nodiscard]] BigInt from_mont(const LimbVec& x) {
     LimbVec one(n_, 0);
     one[0] = 1;
     LimbVec out;
@@ -90,16 +67,58 @@ class MontgomeryCtx {
     return BigIntOps::make(std::move(out), 1);
   }
 
-  [[nodiscard]] LimbVec one_mont() const {
+  [[nodiscard]] LimbVec one_mont() {
     // beta^n mod m == to_mont(1)
     return to_mont(BigInt(1));
   }
 
  private:
+  /// The product with the limb count fixed at N (0: the runtime n_).
+  template <std::size_t N>
+  void cios(const Limb* a, const Limb* b, Limb* out) {
+    const std::size_t n = N != 0 ? N : n_;
+    const Limb* m = m_.data();
+    Limb* t = t_.data();
+    std::fill(t, t + n + 2, Limb{0});
+    for (std::size_t i = 0; i < n; ++i) {
+      // t += a[i] * b
+      unsigned __int128 carry = 0;
+      const Limb ai = a[i];
+      for (std::size_t j = 0; j < n; ++j) {
+        carry += static_cast<unsigned __int128>(ai) * b[j] + t[j];
+        t[j] = static_cast<Limb>(carry);
+        carry >>= 64;
+      }
+      carry += t[n];
+      t[n] = static_cast<Limb>(carry);
+      t[n + 1] = static_cast<Limb>(carry >> 64);
+
+      // t += (t[0] * n0') * m, then t >>= 64
+      const Limb mi = t[0] * n0_;
+      carry = static_cast<unsigned __int128>(mi) * m[0] + t[0];
+      carry >>= 64;
+      for (std::size_t j = 1; j < n; ++j) {
+        carry += static_cast<unsigned __int128>(mi) * m[j] + t[j];
+        t[j - 1] = static_cast<Limb>(carry);
+        carry >>= 64;
+      }
+      carry += t[n];
+      t[n - 1] = static_cast<Limb>(carry);
+      t[n] = t[n + 1] + static_cast<Limb>(carry >> 64);
+      t[n + 1] = 0;
+    }
+    // Conditional final subtraction: t (n+1 limbs) may be in [0, 2m).
+    if (t[n] != 0 || detail::cmp(t, n, m, n) >= 0) {
+      detail::sub_into(t, n + 1, m, n);
+    }
+    std::copy(t, t + n, out);
+  }
+
   LimbVec m_;
   std::size_t n_;
   Limb n0_;
   LimbVec rr_;
+  LimbVec t_ = LimbVec(n_ + 2);  ///< mul()'s accumulator
 };
 
 BigInt mod_pow_generic(const BigInt& a, const BigInt& e, const BigInt& m) {
@@ -117,6 +136,7 @@ BigInt mod_pow_generic(const BigInt& a, const BigInt& e, const BigInt& m) {
 }  // namespace
 
 BigInt mod_pow(const BigInt& a, const BigInt& e, const BigInt& m) {
+  obs::prof::Frame frame("bn.mod_pow");
   if (m.sign() <= 0) throw std::domain_error("modulus must be positive");
   if (e.is_negative()) throw std::domain_error("negative exponent");
   if (m.is_one()) return BigInt{};
@@ -125,7 +145,7 @@ BigInt mod_pow(const BigInt& a, const BigInt& e, const BigInt& m) {
   BigInt base = a % m;
   if (base.is_negative()) base += m;
 
-  const MontgomeryCtx ctx(m);
+  MontgomeryCtx ctx(m);
   const LimbVec base_m = ctx.to_mont(base);
   LimbVec acc = ctx.one_mont();
   const std::size_t bits = e.bit_length();

@@ -4,42 +4,33 @@
 // the whole key-generation path deterministic under a simulated device RNG —
 // which is precisely how the flawed devices in the study end up sharing
 // primes.
-#include <cmath>
-#include <map>
-#include <mutex>
 #include <stdexcept>
+#include <string>
 
 #include "bn/detail.hpp"
 
 namespace weakkeys::bn {
 
-const std::vector<std::uint32_t>& small_primes(std::size_t count) {
-  static std::mutex mutex;
-  static std::vector<std::uint32_t> primes;
-  // One stable vector per requested count, so returned references stay valid.
-  static std::map<std::size_t, std::vector<std::uint32_t>> views;
-
-  std::lock_guard lock(mutex);
-  if (primes.size() < count) {
-    // Sieve with a generous bound; the nth prime is below
-    // n*(ln n + ln ln n) for n >= 6.
-    const double n = static_cast<double>(std::max<std::size_t>(count, 6));
-    const double bound_d = n * (std::log(n) + std::log(std::log(n))) + 16;
-    const auto bound = static_cast<std::size_t>(bound_d);
-    std::vector<bool> composite(bound + 1, false);
-    primes.clear();
-    for (std::size_t i = 2; i <= bound; ++i) {
+std::span<const std::uint32_t> small_primes(std::size_t count) {
+  // Every prime below 2^17 (12,251 of them: enough for the 2,048-prime
+  // keygen sieve and trial division to 10^5), sieved once on first use;
+  // afterwards callers share the immutable table without a lock.
+  static const std::vector<std::uint32_t> table = [] {
+    constexpr std::size_t kBound = std::size_t{1} << 17;
+    std::vector<bool> composite(kBound, false);
+    std::vector<std::uint32_t> primes;
+    for (std::size_t i = 2; i < kBound; ++i) {
       if (composite[i]) continue;
       primes.push_back(static_cast<std::uint32_t>(i));
-      for (std::size_t j = i * i; j <= bound; j += i) composite[j] = true;
+      for (std::size_t j = i * i; j < kBound; j += i) composite[j] = true;
     }
+    return primes;
+  }();
+  if (count > table.size()) {
+    throw std::out_of_range("small_primes: more than " +
+                            std::to_string(table.size()) + " requested");
   }
-  auto& view = views[count];
-  if (view.size() != count) {
-    view.assign(primes.begin(),
-                primes.begin() + static_cast<std::ptrdiff_t>(count));
-  }
-  return view;
+  return std::span<const std::uint32_t>(table).first(count);
 }
 
 std::uint64_t mod_small(const BigInt& n, std::uint64_t p) {
@@ -74,12 +65,12 @@ BigInt random_range(RandomSource& src, const BigInt& low, const BigInt& high) {
 }
 
 bool is_probable_prime(const BigInt& n, RandomSource& src, int rounds) {
-  if (n < BigInt(2)) return false;
+  if (n.sign() <= 0) return false;
   // Deterministic handling of small values and small factors.
-  const auto& primes = small_primes(64);
-  for (const std::uint32_t p : primes) {
-    if (n == BigInt(std::uint64_t{p})) return true;
-    if (mod_small(n, p) == 0) return false;
+  const bool one_limb = n.limb_count() == 1;
+  if (one_limb && n.limbs()[0] < 2) return false;
+  for (const std::uint32_t p : small_primes(64)) {
+    if (mod_small(n, p) == 0) return one_limb && n.limbs()[0] == p;
   }
 
   // n - 1 = d * 2^r with d odd.

@@ -1,5 +1,6 @@
 #include "cert/certificate.hpp"
 
+#include "obs/prof_stack.hpp"
 #include "rsa/pkcs1.hpp"
 #include "util/hex.hpp"
 
@@ -217,6 +218,16 @@ Certificate Certificate::with_modulus_bit_flipped(std::size_t bit_index) const {
   return out;
 }
 
+namespace {
+
+std::vector<std::uint8_t> sign_tbs(const Certificate& cert,
+                                   const rsa::RsaPrivateKey& key) {
+  obs::prof::Frame frame("cert.sign");
+  return rsa::sign(key, cert.encode_tbs());
+}
+
+}  // namespace
+
 Certificate make_issued(const DistinguishedName& subject,
                         const std::vector<std::string>& san_dns,
                         const Validity& validity,
@@ -231,7 +242,7 @@ Certificate make_issued(const DistinguishedName& subject,
   cert.san_dns = san_dns;
   cert.validity = validity;
   cert.key = subject_key;
-  cert.signature = rsa::sign(issuer_key, cert.encode_tbs());
+  cert.signature = sign_tbs(cert, issuer_key);
   return cert;
 }
 
@@ -247,7 +258,7 @@ Certificate make_self_signed(const DistinguishedName& subject,
   cert.san_dns = san_dns;
   cert.validity = validity;
   cert.key = key.pub;
-  cert.signature = rsa::sign(key, cert.encode_tbs());
+  cert.signature = sign_tbs(cert, key);
   return cert;
 }
 

@@ -156,6 +156,13 @@ util::CancellationToken* Study::resolve_token() {
   return config_.cancel ? config_.cancel : &own_token_;
 }
 
+util::ThreadPool& Study::pool() {
+  if (!pool_) {
+    pool_ = std::make_unique<util::ThreadPool>(config_.threads, &telemetry_);
+  }
+  return *pool_;
+}
+
 void Study::cancel(const std::string& reason) {
   resolve_token()->cancel(reason);
 }
@@ -285,6 +292,12 @@ void Study::run() {
   start_observability();
   load_checkpoint_if_resuming();
 
+  // pool() starts the run's workers on first use; they stop when run()
+  // returns or throws.
+  struct PoolStop {
+    std::unique_ptr<util::ThreadPool>& pool;
+    ~PoolStop() { pool.reset(); }
+  } pool_stop{pool_};
   try {
     obs::Span run_span = telemetry_.tracer().span("study.run");
     begin_stage("build_dataset", config_.stage_deadlines.build_dataset);
@@ -501,6 +514,7 @@ void Study::build_dataset() {
     netsim::SimConfig sim = config_.sim;
     sim.telemetry = &telemetry_;
     sim.cancel = resolve_token();
+    sim.pool = &pool();
     sim.log = [this](const std::string& message) { log("sim: " + message); };
     internet_ = std::make_unique<netsim::Internet>(
         netsim::standard_models(config_.sim.scale), sim);
@@ -842,9 +856,8 @@ void Study::factor_moduli() {
   } else {
     // Fault-free fast path: every task assumed to succeed exactly once.
     obs::Span gcd_span = telemetry_.tracer().span("gcd.distributed");
-    util::ThreadPool pool(config_.threads, &telemetry_);
     result = batchgcd::batch_gcd_distributed(
-        moduli, config_.batch_gcd_subsets, &pool, nullptr, resolve_token(),
+        moduli, config_.batch_gcd_subsets, &pool(), nullptr, resolve_token(),
         &telemetry_.metrics(), storage);
   }
 

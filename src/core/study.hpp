@@ -46,6 +46,7 @@
 #include "obs/telemetry.hpp"
 #include "obs/watchdog.hpp"
 #include "util/cancellation.hpp"
+#include "util/thread_pool.hpp"
 
 namespace weakkeys::core {
 
@@ -53,7 +54,8 @@ struct StudyConfig {
   netsim::SimConfig sim;
   /// Batch-GCD subset count (the paper used k=16 on 22 machines).
   std::size_t batch_gcd_subsets = 4;
-  /// Worker threads for the distributed batch GCD (0 = hardware).
+  /// Worker threads of the run's pool (0 = hardware): corpus keygen in
+  /// study.simulate and the fault-free distributed batch GCD both use it.
   std::size_t threads = 0;
   /// Dataset cache path; empty disables caching. A stale or mismatched
   /// cache is silently rebuilt.
@@ -377,6 +379,9 @@ class Study {
   void poll_mem_budget();
   void write_trace_if_configured();
   [[nodiscard]] util::CancellationToken* resolve_token();
+  /// The run's thread pool, started on first use and stopped when run()
+  /// returns or throws.
+  [[nodiscard]] util::ThreadPool& pool();
   [[nodiscard]] std::string checkpoint_path() const;
   [[nodiscard]] StudyCheckpointKey checkpoint_key() const;
   void load_checkpoint_if_resuming();
@@ -395,6 +400,7 @@ class Study {
   std::unique_ptr<obs::Watchdog> watchdog_;
   std::unique_ptr<obs::Profiler> profiler_;
   std::unique_ptr<LifecycleSignalWatcher> signal_watcher_;
+  std::unique_ptr<util::ThreadPool> pool_;
   std::uint64_t exit_flush_token_ = 0;
   std::atomic<bool> run_started_{false};
   std::atomic<bool> flushed_{false};

@@ -76,9 +76,51 @@ const rsa::RsaPublicKey& DeviceFactory::rimon_key(std::size_t bits) {
   return it->second.pub;
 }
 
-cert::DistinguishedName DeviceFactory::build_subject(
-    const Device& device, std::uint64_t device_id) const {
+DeviceFactory::KeyPlan DeviceFactory::plan_keys(const Device& device,
+                                                const util::Date& when) {
   const DeviceModel& m = *device.model;
+  KeyPlan plan;
+  plan.model = &m;
+  plan.flawed = device.flawed;
+  plan.device_id = next_device_id_++;
+  plan.when = when;
+  plan.ip = device.ip;
+
+  // Choose the RNG this boot actually has. The divergence seed is drawn
+  // before the boot state: the order every existing corpus was built with.
+  if (m.uses_ibm_nine_primes) {
+    // Handled below without a RandomSource-driven keygen.
+  } else if (device.flawed) {
+    plan.divergence_seed = rng_();
+    plan.boot_state = rng_();
+  } else {
+    plan.healthy_seed = rng_();
+  }
+
+  // SSH host key first (sshd generates at first boot, before the web UI).
+  plan.wants_ssh = m.protocol == Protocol::kSsh ||
+                   (m.ssh_frac > 0 && rng_.chance(m.ssh_frac));
+  if (plan.wants_ssh && !m.uses_ibm_nine_primes) {
+    plan.ssh_serial = next_serial_++;
+  }
+  if (m.protocol == Protocol::kSsh) return plan;
+
+  if (m.uses_ibm_nine_primes) {
+    plan.ibm = &ibm_pool(m.key_bits);
+    if (!m.fixed_ibm_key) plan.ibm_pick_seed = rng_();
+  }
+  if (m.ca_issued) {
+    const auto& pool = ca_pool();
+    plan.ca = &pool[rng_.below(pool.size())];
+  }
+  plan.https_serial = next_serial_++;
+  return plan;
+}
+
+namespace {
+
+cert::DistinguishedName build_subject(const DeviceFactory::KeyPlan& plan) {
+  const DeviceModel& m = *plan.model;
   cert::DistinguishedName dn;
   switch (m.subject_style) {
     case SubjectStyle::kOrgAndModel:
@@ -95,18 +137,19 @@ cert::DistinguishedName DeviceFactory::build_subject(
       dn.add("O", "Default Organization");
       break;
     case SubjectStyle::kIpOctets:
-      dn.add("CN", device.ip.to_string());
+      dn.add("CN", plan.ip.to_string());
       break;
     case SubjectStyle::kFritzDomains:
-      dn.add("CN", hex_id(device_id) + ".myfritz.net");
+      dn.add("CN", hex_id(plan.device_id) + ".myfritz.net");
       break;
     case SubjectStyle::kCustomerOrg:
       // Organization-specific subject carrying no vendor information.
-      dn.add("CN", "mgmt-" + hex_id(device_id));
-      dn.add("O", "Customer Organization " + std::to_string(device_id % 97));
+      dn.add("CN", "mgmt-" + hex_id(plan.device_id));
+      dn.add("O",
+             "Customer Organization " + std::to_string(plan.device_id % 97));
       break;
     case SubjectStyle::kDellImaging:
-      dn.add("CN", "printer-" + hex_id(device_id));
+      dn.add("CN", "printer-" + hex_id(plan.device_id));
       dn.add("OU", "Dell Imaging Group");
       dn.add("O", "Dell Inc.");
       break;
@@ -114,27 +157,28 @@ cert::DistinguishedName DeviceFactory::build_subject(
   return dn;
 }
 
-void DeviceFactory::generate_keys(Device& device, const util::Date& when) {
-  const DeviceModel& m = *device.model;
-  const std::uint64_t device_id = next_device_id_++;
+}  // namespace
+
+void DeviceFactory::build_keys(const KeyPlan& plan, Device& device) const {
+  const DeviceModel& m = *plan.model;
+  const util::Date& when = plan.when;
 
   rsa::KeygenOptions opts;
   opts.modulus_bits = m.key_bits;
   opts.style = m.prime_style;
   opts.miller_rabin_rounds = mr_rounds_;
 
-  // Choose the RNG this boot actually has.
   std::unique_ptr<bn::RandomSource> source;
   rng::SimulatedUrandom* flawed_urandom = nullptr;
   if (m.uses_ibm_nine_primes) {
     // Handled below without a RandomSource-driven keygen.
-  } else if (device.flawed) {
+  } else if (plan.flawed) {
     auto ur = std::make_unique<rng::SimulatedUrandom>(
-        m.pool_tag(), m.flawed_rng, rng_(), rng_());
+        m.pool_tag(), m.flawed_rng, plan.boot_state, plan.divergence_seed);
     flawed_urandom = ur.get();
     source = std::move(ur);
   } else {
-    source = std::make_unique<rng::PrngRandomSource>(rng_());
+    source = std::make_unique<rng::PrngRandomSource>(plan.healthy_seed);
   }
 
   rsa::KeygenEvents events;
@@ -143,16 +187,13 @@ void DeviceFactory::generate_keys(Device& device, const util::Date& when) {
       flawed_urandom->stir_divergence_event();
   };
 
-  // SSH host key first (sshd generates at first boot, before the web UI).
   device.ssh_key.reset();
   device.ssh_cert.reset();
-  const bool wants_ssh = m.protocol == Protocol::kSsh ||
-                         (m.ssh_frac > 0 && rng_.chance(m.ssh_frac));
-  if (wants_ssh && !m.uses_ibm_nine_primes) {
+  if (plan.wants_ssh && !m.uses_ibm_nine_primes) {
     device.ssh_key = rsa::generate_key(*source, opts, &events);
     auto ssh_cert = std::make_shared<cert::Certificate>();
-    ssh_cert->serial = next_serial_++;
-    ssh_cert->subject.add("CN", "ssh-" + hex_id(device_id));
+    ssh_cert->serial = plan.ssh_serial;
+    ssh_cert->subject.add("CN", "ssh-" + hex_id(plan.device_id));
     ssh_cert->issuer = ssh_cert->subject;
     ssh_cert->validity = {when, when.add_months(12 * kCertValidityYears)};
     ssh_cert->key = device.ssh_key->pub;
@@ -160,15 +201,17 @@ void DeviceFactory::generate_keys(Device& device, const util::Date& when) {
     device.ssh_cert = std::move(ssh_cert);
   }
 
+  device.issuer_cert.reset();
+  device.rimon_cert.reset();
   if (m.protocol == Protocol::kSsh) {
     // Dedicated SSH hosts expose no TLS service.
+    device.https_key = {};
     device.https_cert.reset();
-    device.rimon_cert.reset();
     return;
   }
 
   if (m.uses_ibm_nine_primes) {
-    const auto& pool = ibm_pool(m.key_bits);
+    const auto& pool = *plan.ibm;
     if (m.fixed_ibm_key) {
       // Every device of this family embeds the same key from the IBM pool
       // (the Siemens Building Automation overlap).
@@ -176,7 +219,7 @@ void DeviceFactory::generate_keys(Device& device, const util::Date& when) {
           rsa::assemble_private_key(pool.primes()[0], pool.primes()[1],
                                     bn::BigInt(65537));
     } else {
-      rng::PrngRandomSource pick(rng_());
+      rng::PrngRandomSource pick(plan.ibm_pick_seed);
       device.https_key = pool.generate(pick);
     }
   } else {
@@ -191,26 +234,34 @@ void DeviceFactory::generate_keys(Device& device, const util::Date& when) {
             "fritz.fonwlan.box"};
   }
   const cert::Validity validity{when, when.add_months(12 * kCertValidityYears)};
-  const cert::DistinguishedName subject = build_subject(device, device_id);
-  device.issuer_cert.reset();
-  if (m.ca_issued) {
-    const auto& pool = ca_pool();
-    const auto& ca = pool[rng_.below(pool.size())];
+  const cert::DistinguishedName subject = build_subject(plan);
+  if (plan.ca != nullptr) {
     device.https_cert = std::make_shared<cert::Certificate>(cert::make_issued(
-        subject, sans, validity, device.https_key.pub, ca.certificate->subject,
-        ca.key, next_serial_++));
-    device.issuer_cert = ca.certificate;
+        subject, sans, validity, device.https_key.pub,
+        plan.ca->certificate->subject, plan.ca->key, plan.https_serial));
+    device.issuer_cert = plan.ca->certificate;
   } else {
     device.https_cert = std::make_shared<cert::Certificate>(
         cert::make_self_signed(subject, sans, validity, device.https_key,
-                               next_serial_++));
+                               plan.https_serial));
   }
-  device.rimon_cert.reset();
 }
 
-Device DeviceFactory::create(const DeviceModel& model,
-                             const util::Date& manufactured,
-                             const util::Date& deployed) {
+void Device::copy_keys_from(const Device& other) {
+  auto copy = [](const CertHandle& c) -> CertHandle {
+    return c ? std::make_shared<cert::Certificate>(*c) : nullptr;
+  };
+  https_key = other.https_key;
+  https_cert = copy(other.https_cert);
+  ssh_key = other.ssh_key;
+  ssh_cert = copy(other.ssh_cert);
+  rimon_cert = copy(other.rimon_cert);
+  issuer_cert = other.issuer_cert;
+}
+
+Device DeviceFactory::manufacture(const DeviceModel& model,
+                                  const util::Date& manufactured,
+                                  const util::Date& deployed) {
   Device device;
   device.model = &model;
   device.manufactured = manufactured;
@@ -218,12 +269,19 @@ Device DeviceFactory::create(const DeviceModel& model,
   device.flawed = model.flawed_at(manufactured);
   device.ip = ips_.allocate();
   device.behind_rimon = model.rimon_mitm_frac > 0 && rng_.chance(model.rimon_mitm_frac);
-  generate_keys(device, deployed);
+  return device;
+}
+
+Device DeviceFactory::create(const DeviceModel& model,
+                             const util::Date& manufactured,
+                             const util::Date& deployed) {
+  Device device = manufacture(model, manufactured, deployed);
+  build_keys(plan_keys(device, deployed), device);
   return device;
 }
 
 void DeviceFactory::regenerate(Device& device, const util::Date& when) {
-  generate_keys(device, when);
+  build_keys(plan_keys(device, when), device);
 }
 
 CertHandle DeviceFactory::rimon_variant(Device& device) {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "obs/prof_stack.hpp"
+
 namespace weakkeys::netsim {
 
 using util::Date;
@@ -35,18 +37,50 @@ void Internet::seed_initial_population() {
     const auto count =
         static_cast<std::size_t>(std::llround(model.initial_count));
     for (std::size_t i = 0; i < count; ++i) {
-      // Seeding is keygen-bound and runs before the month loop, so it needs
-      // its own poll to keep cancel latency at one key, not one fleet.
-      if (config_.cancel) config_.cancel->throw_if_cancelled();
       // Manufacture dates spread over the years before the study window so
       // flawed_from / flawed_until windows partition the initial fleet.
       const auto back =
           static_cast<int>(events_rng_.below(kBackfillMonths));
       const Date manufactured =
           start.add_months(-back).add_days(static_cast<std::int64_t>(events_rng_.below(28)));
-      devices_.push_back(factory_.create(model, manufactured, manufactured));
+      deploy(model, manufactured, manufactured);
     }
   }
+}
+
+void Internet::deploy(const DeviceModel& model, const Date& manufactured,
+                      const Date& deployed) {
+  Device device = factory_.manufacture(model, manufactured, deployed);
+  planned_keys_[devices_.size()] = factory_.plan_keys(device, deployed);
+  devices_.push_back(std::move(device));
+}
+
+void Internet::build_planned_keys() {
+  struct Job {
+    Device* device;
+    const DeviceFactory::KeyPlan* plan;
+    Device built;
+  };
+  std::vector<Job> jobs;
+  jobs.reserve(planned_keys_.size());
+  for (const auto& [index, plan] : planned_keys_) {
+    jobs.push_back({&devices_[index], &plan, {}});
+  }
+  auto build = [this, &jobs](std::size_t i) {
+    if (config_.cancel) config_.cancel->throw_if_cancelled();
+    obs::prof::Frame frame("sim.build_keys");
+    factory_.build_keys(*jobs[i].plan, jobs[i].built);
+  };
+  if (config_.pool) {
+    config_.pool->parallel_for(jobs.size(), build, config_.cancel);
+  } else {
+    for (std::size_t i = 0; i < jobs.size(); ++i) build(i);
+  }
+  // The devices keep copies made on this thread: the keys and certificates
+  // outlive the batch, and left in the workers' malloc arenas they raise the
+  // process's peak memory over repeated runs.
+  for (const Job& job : jobs) job.device->copy_keys_from(job.built);
+  planned_keys_.clear();
 }
 
 void Internet::advance_month(const Date& month_start) {
@@ -68,18 +102,17 @@ void Internet::advance_month(const Date& month_start) {
     deploy_accumulator_[mi] -= static_cast<double>(n);
     if (deployed) deployed->inc(n);
     for (std::size_t i = 0; i < n; ++i) {
-      // Deployment is keygen-bound too; poll per key like the seeding loop.
-      if (config_.cancel) config_.cancel->throw_if_cancelled();
       const Date when =
           month_start.add_days(static_cast<std::int64_t>(events_rng_.below(28)));
-      devices_.push_back(factory_.create(model, when, when));
+      deploy(model, when, when);
     }
   }
 
   // Per-device monthly events.
   const bool heartbleed_month =
       month_start.month_index() == heartbleed_date().month_index();
-  for (Device& device : devices_) {
+  for (std::size_t index = 0; index < devices_.size(); ++index) {
+    Device& device = devices_[index];
     if (!device.alive) continue;
     const DeviceModel& model = *device.model;
 
@@ -108,7 +141,7 @@ void Internet::advance_month(const Date& month_start) {
     if (events_rng_.chance(model.regen_rate)) {
       const Date when =
           month_start.add_days(static_cast<std::int64_t>(events_rng_.below(28)));
-      factory_.regenerate(device, when);
+      planned_keys_[index] = factory_.plan_keys(device, when);
       if (regenerated) regenerated->inc();
     }
   }
@@ -189,6 +222,9 @@ ScanDataset Internet::run(const std::vector<ScanCampaign>& campaigns) {
     for (const auto& s : schedule) {
       if (s.when.month_index() != month.month_index()) continue;
       if (config_.cancel) config_.cancel->throw_if_cancelled();
+      // Planned keygens accumulate across months without scans; the first
+      // scan of a month waits for them.
+      if (!planned_keys_.empty()) build_planned_keys();
       obs::Span span;
       if (config_.telemetry) {
         span = config_.telemetry->tracer().span("sim.scan");
@@ -214,6 +250,9 @@ ScanDataset Internet::run(const std::vector<ScanCampaign>& campaigns) {
                   " snapshots collected");
     }
   }
+
+  // Ground truth (devices()) is complete when run() returns.
+  build_planned_keys();
 
   std::sort(dataset.snapshots.begin(), dataset.snapshots.end(),
             [](const ScanSnapshot& a, const ScanSnapshot& b) {

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "obs/telemetry.hpp"
 #include "util/cancellation.hpp"
 #include "util/prng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace weakkeys::netsim {
 
@@ -39,11 +41,16 @@ struct SimConfig {
   /// Must outlive the Internet. Does not affect the StoreKey cache identity.
   obs::Telemetry* telemetry = nullptr;
   /// Cooperative cancellation: run() polls per simulated month, per scan
-  /// snapshot, and per generated key in the keygen-bound seeding/deployment
-  /// loops, then throws util::Cancelled — cancel latency is one key or one
+  /// snapshot, and before each device's keygen, then throws
+  /// util::Cancelled — cancel latency is one key per pool worker or one
   /// snapshot, whichever is in flight.
   /// Does not affect the StoreKey cache identity.
   const util::CancellationToken* cancel = nullptr;
+  /// Pool for the keygen batches (null runs them on the calling thread).
+  /// Draws stay serial and only keygen and certificate signing run here,
+  /// so the corpus is byte-identical for any pool size. Must outlive
+  /// run(). Does not affect the StoreKey cache identity.
+  util::ThreadPool* pool = nullptr;
   /// Streaming emission for corpora too large to hold: when set, run()
   /// hands each completed snapshot here instead of accumulating it and
   /// returns an empty dataset, so at most one snapshot's records are ever
@@ -74,6 +81,13 @@ class Internet {
  private:
   void seed_initial_population();
   void advance_month(const util::Date& month_start);
+  /// Creates a device whose keys are planned now and built at the next
+  /// build_planned_keys().
+  void deploy(const DeviceModel& model, const util::Date& manufactured,
+              const util::Date& deployed);
+  /// Runs every planned keygen (on the pool when configured) and waits:
+  /// the barrier before anything reads key material.
+  void build_planned_keys();
   ScanSnapshot scan(const ScanCampaign& campaign, const util::Date& when);
   [[nodiscard]] double deploy_rate(const DeviceModel& m,
                                    const util::Date& month) const;
@@ -84,6 +98,10 @@ class Internet {
   util::Xoshiro256 events_rng_;
   std::vector<Device> devices_;
   std::vector<double> deploy_accumulator_;
+  /// Device index -> its latest unbuilt plan. Indices, because devices_
+  /// reallocates; a device planned twice (deployed, then regenerated)
+  /// keeps only the later plan, which rewrites every key field.
+  std::map<std::size_t, DeviceFactory::KeyPlan> planned_keys_;
 };
 
 }  // namespace weakkeys::netsim

@@ -92,6 +92,18 @@ void pop_frame() {
   if (d > 0) st.depth.store(d - 1, std::memory_order_release);
 }
 
+StackSample current_stack() {
+  const ThreadStack& st = local_stack();
+  const std::uint32_t depth =
+      std::min<std::uint32_t>(st.depth.load(std::memory_order_relaxed),
+                              static_cast<std::uint32_t>(kMaxDepth));
+  StackSample out(depth);
+  for (std::uint32_t i = 0; i < depth; ++i) {
+    out[i] = st.frames[i].load(std::memory_order_relaxed);
+  }
+  return out;
+}
+
 std::vector<StackSample> sample_all_stacks() {
   std::vector<StackSample> out;
   std::lock_guard lock(registry_mu());

@@ -49,6 +49,9 @@ void pop_frame();
 /// One sampled thread stack, outermost frame first.
 using StackSample = std::vector<const char*>;
 
+/// The calling thread's recorded frames, outermost first.
+StackSample current_stack();
+
 /// Snapshots every registered thread's current stack. Threads with empty
 /// stacks are skipped. Safe to call concurrently with push/pop.
 std::vector<StackSample> sample_all_stacks();
@@ -75,6 +78,26 @@ class Frame {
 
  private:
   bool pushed_ = false;
+};
+
+/// RAII replay of another thread's frames (a current_stack() snapshot) on
+/// this thread: a pool task adopts its submitter's stack, so its samples
+/// land below the stage that submitted it. Inert when profiling is off.
+class AdoptedStack {
+ public:
+  explicit AdoptedStack(const StackSample& frames) {
+    if (frames.empty() || !enabled()) return;
+    for (const char* label : frames) push_frame(label);
+    pushed_ = frames.size();
+  }
+  ~AdoptedStack() {
+    for (std::size_t i = 0; i < pushed_; ++i) pop_frame();
+  }
+  AdoptedStack(const AdoptedStack&) = delete;
+  AdoptedStack& operator=(const AdoptedStack&) = delete;
+
+ private:
+  std::size_t pushed_ = 0;
 };
 
 }  // namespace weakkeys::obs::prof

@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "obs/prof_stack.hpp"
+
 namespace weakkeys::rsa {
 
 namespace {
@@ -12,24 +14,27 @@ using bn::BigInt;
 /// Number of odd candidates sieved per random base before redrawing.
 constexpr std::size_t kWindow = 2048;
 
+/// x / 2 mod odd q for x < q, without a division.
+std::uint64_t half_mod(std::uint64_t x, std::uint64_t q) {
+  return (x % 2 == 0 ? x : x + q) / 2;
+}
+
 /// Window sieve: marks composite offsets for candidates base + 2t,
 /// t in [0, kWindow), and (in OpenSSL style) offsets where
 /// (base + 2t) - 1 is divisible by a small prime.
 std::vector<bool> sieve_window(const BigInt& base, PrimeStyle style,
                                std::size_t sieve_primes) {
   std::vector<bool> alive(kWindow, true);
-  const auto& primes = bn::small_primes(sieve_primes);
-  for (const std::uint32_t prime : primes) {
+  for (const std::uint32_t prime : bn::small_primes(sieve_primes)) {
     if (prime == 2) continue;  // candidates are odd by construction
     const std::uint64_t q = prime;
     const std::uint64_t r = bn::mod_small(base, q);
-    const std::uint64_t inv2 = (q + 1) / 2;  // 2^-1 mod q for odd q
-    // base + 2t ≡ 0 (mod q)  =>  t ≡ -r * inv2 (mod q)
-    const std::uint64_t t0 = ((q - r) % q) * inv2 % q;
+    // base + 2t ≡ 0 (mod q)  =>  t ≡ -r / 2 (mod q)
+    const std::uint64_t t0 = half_mod(r == 0 ? 0 : q - r, q);
     for (std::uint64_t t = t0; t < kWindow; t += q) alive[t] = false;
     if (style == PrimeStyle::kOpenSsl) {
-      // base + 2t ≡ 1 (mod q)  =>  t ≡ (1 - r) * inv2 (mod q)
-      const std::uint64_t t1 = ((q + 1 - r) % q) * inv2 % q;
+      // base + 2t ≡ 1 (mod q)  =>  t ≡ (1 - r) / 2 (mod q)
+      const std::uint64_t t1 = half_mod(r <= 1 ? 1 - r : q + 1 - r, q);
       for (std::uint64_t t = t1; t < kWindow; t += q) alive[t] = false;
     }
   }
@@ -40,6 +45,7 @@ std::vector<bool> sieve_window(const BigInt& base, PrimeStyle style,
 
 BigInt generate_prime(bn::RandomSource& rng, std::size_t bits,
                       const KeygenOptions& opts) {
+  obs::prof::Frame frame("rsa.generate_prime");
   if (bits < 32) throw std::invalid_argument("prime size below 32 bits");
   const std::uint64_t e = opts.public_exponent;
 
@@ -68,6 +74,7 @@ BigInt generate_prime(bn::RandomSource& rng, std::size_t bits,
 
 RsaPrivateKey generate_key(bn::RandomSource& rng, const KeygenOptions& opts,
                            const KeygenEvents* events) {
+  obs::prof::Frame frame("rsa.generate_key");
   if (opts.modulus_bits < 64)
     throw std::invalid_argument("modulus below 64 bits");
   if (opts.public_exponent % 2 == 0 || opts.public_exponent < 3)

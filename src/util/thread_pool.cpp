@@ -1,5 +1,7 @@
 #include "util/thread_pool.hpp"
 
+#include "obs/prof_stack.hpp"
+
 namespace weakkeys::util {
 
 ThreadPool::ThreadPool(std::size_t workers, obs::Telemetry* telemetry) {
@@ -50,6 +52,11 @@ void ThreadPool::worker_loop() {
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn,
                               const CancellationToken* cancel) {
+  // Tasks run under the caller's profiler frames, so a profile shows pool
+  // work below the stage that submitted it, and the caller waits under
+  // "threadpool.wait" instead of adding to that stage's self time.
+  const obs::prof::StackSample caller =
+      obs::prof::enabled() ? obs::prof::current_stack() : obs::prof::StackSample{};
   std::vector<std::future<void>> futures;
   futures.reserve(n);
   bool stopped_enqueuing = false;
@@ -58,10 +65,15 @@ void ThreadPool::parallel_for(std::size_t n,
       stopped_enqueuing = true;
       break;
     }
-    futures.push_back(submit([&fn, i] { fn(i); }));
+    futures.push_back(submit([&fn, &caller, i] {
+      obs::prof::AdoptedStack adopted(caller);
+      fn(i);
+    }));
   }
-  // Drain every future before rethrowing: queued tasks reference `fn`, so
-  // returning (or throwing) while any are outstanding would dangle.
+  // Drain every future before rethrowing: queued tasks reference `fn` and
+  // `caller`, so returning (or throwing) while any are outstanding would
+  // dangle.
+  obs::prof::Frame wait("threadpool.wait");
   std::exception_ptr first;
   bool task_cancelled = false;
   for (auto& f : futures) {

@@ -279,9 +279,9 @@ TEST(Modular, ModPowMatchesNaive) {
 }
 
 TEST(Prime, SmallPrimesSieve) {
-  const auto& primes = small_primes(10);
+  const auto primes = small_primes(10);
   const std::vector<std::uint32_t> expected = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29};
-  EXPECT_EQ(primes, expected);
+  EXPECT_EQ(std::vector<std::uint32_t>(primes.begin(), primes.end()), expected);
   EXPECT_EQ(small_primes(2048).size(), 2048u);
   EXPECT_EQ(small_primes(2048).back(), 17863u);  // the 2048th prime
 }

@@ -1,7 +1,15 @@
 #include <gtest/gtest.h>
 
-#include <set>
+#include <unistd.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <memory>
+#include <set>
+#include <thread>
+
+#include "core/scan_store.hpp"
 #include "netsim/catalog.hpp"
 #include "netsim/device.hpp"
 #include "netsim/internet.hpp"
@@ -475,6 +483,172 @@ TEST_F(InternetSim, DistinctModuliMatchesKeyCount) {
   EXPECT_GE(moduli.size(), 60u);
   EXPECT_LE(moduli.size(), 180u);
   EXPECT_GE(ds.distinct_certificates(), moduli.size());
+}
+
+// ----------------------------------------------- Parallel corpus build ----
+
+/// A population that exercises every input the serial plan step snapshots:
+/// IP-octet subjects under heavy churn, devices deployed, re-addressed and
+/// regenerated within one month, SSH keys, CA-issued leaves and the IBM
+/// pool.
+std::vector<DeviceModel> churny_models() {
+  std::vector<DeviceModel> models;
+  DeviceModel ip_octets = tiny_flawed_model();
+  ip_octets.vendor = "OctetCo";
+  ip_octets.subject_style = SubjectStyle::kIpOctets;
+  ip_octets.initial_count = 20;
+  ip_octets.deploy_per_month = 1.5;
+  ip_octets.churn_rate = 0.5;
+  ip_octets.regen_rate = 0.08;
+  ip_octets.ssh_frac = 0.4;
+  models.push_back(ip_octets);
+
+  DeviceModel issued = tiny_flawed_model();
+  issued.vendor = "WebCo";
+  issued.flawed_from.reset();
+  issued.ca_issued = true;
+  issued.initial_count = 10;
+  issued.regen_rate = 0.05;
+  models.push_back(issued);
+
+  DeviceModel ibm = tiny_flawed_model();
+  ibm.vendor = "IBM";
+  ibm.uses_ibm_nine_primes = true;
+  ibm.initial_count = 6;
+  ibm.regen_rate = 0.05;
+  models.push_back(ibm);
+
+  DeviceModel ssh = tiny_flawed_model();
+  ssh.vendor = "SshOnly";
+  ssh.protocol = Protocol::kSsh;
+  ssh.initial_count = 6;
+  models.push_back(ssh);
+  return models;
+}
+
+struct CorpusRun {
+  std::vector<std::uint8_t> cache_bytes;
+  std::unique_ptr<Internet> net;  ///< owns the models devices point into
+};
+
+CorpusRun run_churny(util::ThreadPool* pool) {
+  SimConfig config;
+  config.seed = 4242;
+  config.miller_rabin_rounds = 4;
+  config.pool = pool;
+  CorpusRun out;
+  out.net = std::make_unique<Internet>(churny_models(), config);
+  const ScanDataset ds = out.net->run(standard_campaigns());
+
+  const std::string path = ::testing::TempDir() + "netsim_churny_" +
+                           std::to_string(::getpid()) + ".cache";
+  core::save_dataset(ds, core::StoreKey{4242, 0, 4, 0}, path);
+  std::ifstream in(path, std::ios::binary);
+  out.cache_bytes.assign(std::istreambuf_iterator<char>(in), {});
+  std::remove(path.c_str());
+  return out;
+}
+
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(ParallelCorpus, PoolSizeDoesNotChangeTheCorpus) {
+  const CorpusRun serial = run_churny(nullptr);
+  ASSERT_FALSE(serial.cache_bytes.empty());
+  // The corpus the keygen-inline simulator produced for this seed and
+  // model set, before keygen moved onto the pool.
+  EXPECT_EQ(fnv1a(serial.cache_bytes), 0xdfa20dbd613dc032ULL);
+
+  // The cases the plan snapshot exists for actually occur: a device whose
+  // final certificate dates from a regeneration in its deployment month,
+  // and an IP-octet subject naming an address the device has since left.
+  std::size_t same_month_regens = 0, stale_octets = 0;
+  for (const Device& d : serial.net->devices()) {
+    if (!d.https_cert) continue;
+    const util::Date issued = d.https_cert->validity.not_before;
+    if (issued != d.deployed &&
+        issued.month_index() == d.deployed.month_index()) {
+      ++same_month_regens;
+    }
+    if (d.model->subject_style == SubjectStyle::kIpOctets &&
+        d.https_cert->subject.get("CN") != d.ip.to_string()) {
+      ++stale_octets;
+    }
+  }
+  EXPECT_GT(same_month_regens, 0u);
+  EXPECT_GT(stale_octets, 0u);
+
+  for (const std::size_t threads : {2u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    util::ThreadPool pool(threads);
+    const CorpusRun parallel = run_churny(&pool);
+    EXPECT_TRUE(parallel.cache_bytes == serial.cache_bytes);
+    const auto& want = serial.net->devices();
+    const auto& got = parallel.net->devices();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const Device& a = want[i];
+      const Device& b = got[i];
+      EXPECT_EQ(a.https_key.pub.n, b.https_key.pub.n) << "device " << i;
+      ASSERT_EQ(a.ssh_key.has_value(), b.ssh_key.has_value()) << "device " << i;
+      if (a.ssh_key) EXPECT_EQ(a.ssh_key->pub.n, b.ssh_key->pub.n);
+      ASSERT_EQ(a.https_cert == nullptr, b.https_cert == nullptr);
+      if (a.https_cert) EXPECT_EQ(a.https_cert->serial, b.https_cert->serial);
+      ASSERT_EQ(a.ssh_cert == nullptr, b.ssh_cert == nullptr);
+      if (a.ssh_cert) EXPECT_EQ(a.ssh_cert->serial, b.ssh_cert->serial);
+    }
+  }
+}
+
+TEST(ParallelCorpus, CancelDuringSeedingBatchThrowsOnceAndDrainsPool) {
+  // Only an initial fleet: the first keygen batch is the seeding batch.
+  std::vector<DeviceModel> models;
+  DeviceModel fleet = tiny_flawed_model();
+  fleet.flawed_from.reset();
+  fleet.initial_count = 400;
+  fleet.deploy_per_month = 0;
+  fleet.regen_rate = 0;
+  models.push_back(fleet);
+
+  obs::Telemetry telemetry;
+  util::ThreadPool pool(2, &telemetry);
+  util::CancellationToken token;
+  SimConfig config;
+  config.seed = 5;
+  config.miller_rabin_rounds = 4;
+  config.pool = &pool;
+  config.cancel = &token;
+  Internet net(models, config);
+
+  // Trip the token once the pool has finished its first keygen.
+  auto& completed = telemetry.metrics().counter("threadpool.tasks_completed");
+  std::thread tripper([&] {
+    while (completed.value() == 0) std::this_thread::yield();
+    token.cancel("test");
+  });
+  int cancelled = 0;
+  try {
+    (void)net.run(standard_campaigns());
+  } catch (const util::Cancelled&) {
+    ++cancelled;
+  }
+  tripper.join();
+  EXPECT_EQ(cancelled, 1);
+  EXPECT_EQ(telemetry.metrics().gauge("threadpool.queue_depth").value(), 0);
+  // Only the few tasks already past their poll built a key; the rest
+  // returned at once. Had all 400 built one, the tasks' total time would be
+  // hundreds of times the slowest task's, not a few dozen.
+  const auto& task_us = telemetry.metrics().histogram("threadpool.task_us");
+  EXPECT_GT(task_us.max(), 0u);
+  EXPECT_LT(task_us.sum(), 50 * task_us.max());
+  // A cancelled batch installs no keys.
+  for (const Device& d : net.devices()) EXPECT_FALSE(d.https_cert);
 }
 
 // ----------------------------------------------------------- Protocol ----

@@ -149,6 +149,37 @@ TEST_F(StudyIntegration, RunIsIdempotent) {
   EXPECT_EQ(study_->factored().size(), before);
 }
 
+TEST(StudyThreads, ResultIsIndependentOfPoolSize) {
+  // The pool runs corpus keygen and the batch GCD; neither may change the
+  // vulnerable set or the divisor triage.
+  auto run = [](std::size_t threads) {
+    StudyConfig config;
+    config.sim.seed = 31337;
+    config.sim.scale = 0.01;
+    config.sim.miller_rabin_rounds = 4;
+    config.batch_gcd_subsets = 3;
+    config.threads = threads;
+    config.cache_path = "";
+    Study study(config);
+    study.run();
+    std::vector<std::string> hex(study.vulnerable().hex().begin(),
+                                 study.vulnerable().hex().end());
+    std::sort(hex.begin(), hex.end());
+    const FactorStats& f = study.factor_stats();
+    hex.push_back(std::to_string(f.distinct_moduli) + "/" +
+                  std::to_string(f.nontrivial_divisors) + "/" +
+                  std::to_string(f.shared_prime) + "/" +
+                  std::to_string(f.full_modulus) + "/" +
+                  std::to_string(f.bit_errors) + "/" +
+                  std::to_string(f.other) + "/" +
+                  std::to_string(f.second_pass_factored));
+    return hex;
+  };
+  const std::vector<std::string> one = run(1);
+  ASSERT_GT(one.size(), 1u);  // some vulnerable moduli besides the stats
+  EXPECT_EQ(run(4), one);
+}
+
 TEST(StudyCache, SecondRunLoadsIdenticalResults) {
   const std::string cache = "study_cache_test.tmp";
   std::remove(cache.c_str());
