@@ -1,10 +1,12 @@
 // Microbenchmarks for the batch-GCD machinery, including the RAM-resident
-// vs recompute remainder-tree ablation (the paper's key optimization over
-// the original disk-spilling implementation).
+// vs spilled remainder-tree ablation (the paper's key optimization over the
+// original disk-spilling implementation) and the squares vs plain remainder
+// trees of the k-subset diagonal and off-diagonal tasks.
 #include <benchmark/benchmark.h>
 
 #include <map>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -87,9 +89,8 @@ void BM_NaivePairwise(benchmark::State& state) {
 }
 BENCHMARK(BM_NaivePairwise)->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecond);
 
-// Ablation: remainder tree reading RAM-resident levels vs recomputing
-// internal products on the way down (the memory-lean strategy the original
-// factorable.net hardware was forced into).
+/// X mod N_i^2 for X = the tree's own root: the single-tree batch GCD and
+/// the diagonal k-subset task, over RAM-resident levels.
 void BM_RemainderTreeRam(benchmark::State& state) {
   const auto& moduli = corpus(static_cast<std::size_t>(state.range(0)));
   const batchgcd::ProductTree tree(moduli);
@@ -100,16 +101,19 @@ void BM_RemainderTreeRam(benchmark::State& state) {
 }
 BENCHMARK(BM_RemainderTreeRam)->Arg(1024)->Arg(4096)->Unit(benchmark::kMillisecond);
 
-void BM_RemainderTreeRecompute(benchmark::State& state) {
-  const auto& moduli = corpus(static_cast<std::size_t>(state.range(0)));
-  const batchgcd::ProductTree tree(moduli);
-  const BigInt root = tree.root();
+/// X mod N_i for X = another subset's root of the same size: the
+/// off-diagonal k-subset task, which needs no squares. Against
+/// BM_RemainderTreeRam at the same leaf count.
+void BM_RemainderTreePlain(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::span<const BigInt> both(corpus(2 * n));
+  const batchgcd::ProductTree tree(both.first(n));
+  const BigInt other = batchgcd::ProductTree(both.subspan(n)).root();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        batchgcd::remainder_tree_squares_recompute(moduli, root));
+    benchmark::DoNotOptimize(batchgcd::remainder_tree(tree, other));
   }
 }
-BENCHMARK(BM_RemainderTreeRecompute)
+BENCHMARK(BM_RemainderTreePlain)
     ->Arg(1024)
     ->Arg(4096)
     ->Unit(benchmark::kMillisecond);
@@ -154,8 +158,8 @@ BENCHMARK(BM_ProductTreeOutOfCore)
 
 /// Streamed remainder walk over a spilled tree: levels are re-read (and
 /// CRC-verified) from disk as the walk descends, against
-/// BM_RemainderTreeRam's resident levels. Completes the paper's ablation
-/// triangle: RAM-resident vs recompute vs factorable.net-style disk tier.
+/// BM_RemainderTreeRam's resident levels: the RAM-resident vs
+/// factorable.net-style disk-tier ablation.
 void BM_RemainderTreeStreamed(benchmark::State& state) {
   const auto& moduli = corpus(static_cast<std::size_t>(state.range(0)));
   util::TrackedArena arena;

@@ -307,15 +307,7 @@ class Coordinator {
     const Subset& subset = subsets_[a];
     const auto tree_a = acquire_tree(a);
     const BigInt product = acquire_tree(b)->root();
-    const std::vector<BigInt> rem = remainder_tree_squares(*tree_a, product);
-    const BigInt one(1);
-    for (std::size_t i = 0; i < subset.moduli.size(); ++i) {
-      const BigInt& n = subset.moduli[i];
-      BigInt g = (b == a) ? bn::gcd(n, rem[i] / n) : bn::gcd(n, rem[i] % n);
-      if (g > one) {
-        out.claims.push_back({static_cast<std::uint32_t>(i), std::move(g)});
-      }
-    }
+    out.claims = task_claims(*tree_a, subset.moduli, product, b == a);
 
     if (decision.kind == util::FaultKind::kCorruptResult &&
         !subset.moduli.empty()) {
@@ -324,7 +316,7 @@ class Coordinator {
       if (n > BigInt(2)) {
         // n-1 never divides n for n > 2, so verification is guaranteed to
         // reject this claim — the corruption cannot leak into the output.
-        const BigInt bogus = n - one;
+        const BigInt bogus = n - BigInt(1);
         const auto it = std::find_if(
             out.claims.begin(), out.claims.end(),
             [slot](const Claim& c) { return c.leaf == slot; });

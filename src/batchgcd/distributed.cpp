@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <mutex>
 
 #include "batchgcd/product_tree.hpp"
 #include "batchgcd/remainder_tree.hpp"
@@ -60,10 +61,8 @@ BatchGcdResult batch_gcd_distributed(std::span<const BigInt> moduli,
   }
   if (registry) subsets[0].tree->publish_level_stats(*registry);
 
-  // Every product P_b against every subset S_a: k^2 independent tasks.
-  // Each task computes, for each N_i in S_a, a shared-factor candidate:
-  //   b == a: gcd(N_i, (P_a mod N_i^2) / N_i)   (P_a divisible by N_i)
-  //   b != a: gcd(N_i, P_b mod N_i)
+  // Every product P_b against every subset S_a: k^2 independent tasks, each
+  // claiming shared-factor candidates for S_a's leaves (task_claims).
   // Candidates multiply together before a final gcd, which reproduces the
   // single-tree divisor exactly.
   std::vector<std::vector<BigInt>> partial(k);  // per subset, per leaf
@@ -76,22 +75,12 @@ BatchGcdResult batch_gcd_distributed(std::span<const BigInt> moduli,
     if (cancel) cancel->throw_if_cancelled();
     const std::size_t b = task / k;  // product index
     const std::size_t a = task % k;  // subset index
-    const Subset& subset = subsets[a];
-    const BigInt& product = subsets[b].tree->root();
-    const std::vector<BigInt> rem =
-        remainder_tree_squares(*subset.tree, product);
-    std::vector<BigInt> local(subset.moduli.size());
-    const BigInt one(1);
-    for (std::size_t i = 0; i < subset.moduli.size(); ++i) {
-      const BigInt& n = subset.moduli[i];
-      BigInt g = (b == a) ? bn::gcd(n, rem[i] / n) : bn::gcd(n, rem[i] % n);
-      local[i] = std::move(g);
-    }
+    const std::vector<TaskClaim> claims =
+        task_claims(*subsets[a].tree, subsets[a].moduli,
+                    subsets[b].tree->root(), b == a);
     std::lock_guard guard(locks[a]);
-    for (std::size_t i = 0; i < local.size(); ++i) {
-      if (local[i] > one) {
-        partial[a][i] = partial[a][i] * local[i];
-      }
+    for (const TaskClaim& claim : claims) {
+      partial[a][claim.leaf] = partial[a][claim.leaf] * claim.divisor;
     }
   };
   if (pool) {

@@ -18,10 +18,24 @@ BigInt reduce_mod_square(const BigInt& x, const BigInt& node) {
   return x % node.squared();
 }
 
-}  // namespace
+/// x mod node, carrying x down untouched when it is already below node.
+BigInt reduce_mod(const BigInt& x, const BigInt& node) {
+  return x < node ? x : x % node;
+}
 
-std::vector<BigInt> remainder_tree_squares(const ProductTree& tree,
-                                           const BigInt& x) {
+/// Reduces x down the tree with `reduce` at every node and returns the
+/// leaf row. rem[i] holds the current level's remainders. A level's odd
+/// trailing node is carried up unchanged by the product tree, so rem[i/2]
+/// is its own remainder already and its reduction is a cheap no-op.
+///
+/// Levels stream through the store one at a time (load, walk, release):
+/// over the in-RAM backend the load is a free aliasing handle, over the
+/// spill backend it is a verified read with at most the configured window
+/// resident — only the current and next remainder rows plus one product
+/// level are ever in memory.
+template <typename Reduce>
+std::vector<BigInt> walk(const ProductTree& tree, const BigInt& x,
+                         Reduce reduce) {
   static const int mem_label =
       obs::mem::register_label("batchgcd.remainder_tree");
   obs::MemScope mem_scope(mem_label);
@@ -30,21 +44,12 @@ std::vector<BigInt> remainder_tree_squares(const ProductTree& tree,
   const std::size_t level_count = store.level_stats().size();
   if (level_count == 0) return {};
 
-  // rem[i] holds X mod node_i^2 for the current level. A level's odd
-  // trailing node is carried up unchanged by the product tree, so rem[i/2]
-  // is its own remainder already and the reduction below is a cheap no-op.
-  //
-  // Levels stream through the store one at a time (load, walk, release):
-  // over the in-RAM backend the load is a free aliasing handle, over the
-  // spill backend it is a verified read with at most the configured window
-  // resident — only the current and next remainder rows plus one product
-  // level are ever in memory.
-  std::vector<BigInt> rem = {reduce_mod_square(x, tree.root())};
+  std::vector<BigInt> rem = {reduce(x, tree.root())};
   for (std::size_t li = level_count - 1; li-- > 0;) {
     const LevelHandle level = store.load_level(li);
     std::vector<BigInt> next(level->size());
     for (std::size_t i = 0; i < level->size(); ++i) {
-      next[i] = reduce_mod_square(rem[i / 2], (*level)[i]);
+      next[i] = reduce(rem[i / 2], (*level)[i]);
     }
     store.release_level(li);
     rem = std::move(next);
@@ -52,33 +57,35 @@ std::vector<BigInt> remainder_tree_squares(const ProductTree& tree,
   return rem;
 }
 
-std::vector<BigInt> remainder_tree_squares_recompute(
-    std::span<const bn::BigInt> moduli, const BigInt& x) {
-  if (moduli.empty()) return {};
-  if (moduli.size() == 1) {
-    return {reduce_mod_square(x, moduli[0])};
+}  // namespace
+
+std::vector<BigInt> remainder_tree_squares(const ProductTree& tree,
+                                           const BigInt& x) {
+  return walk(tree, x, reduce_mod_square);
+}
+
+std::vector<BigInt> remainder_tree(const ProductTree& tree, const BigInt& x) {
+  return walk(tree, x, reduce_mod);
+}
+
+std::vector<TaskClaim> task_claims(const ProductTree& tree_a,
+                                   std::span<const BigInt> moduli_a,
+                                   const BigInt& product_b, bool diagonal,
+                                   const std::function<void()>& on_remainders) {
+  const std::vector<BigInt> rem = diagonal
+                                      ? remainder_tree_squares(tree_a, product_b)
+                                      : remainder_tree(tree_a, product_b);
+  if (on_remainders) on_remainders();
+  std::vector<TaskClaim> claims;
+  const BigInt one(1);
+  for (std::size_t i = 0; i < moduli_a.size(); ++i) {
+    const BigInt& n = moduli_a[i];
+    // Diagonal: P_a mod N_i^2 = N_i * ((P_a/N_i) mod N_i), an exact
+    // division. Off the diagonal the remainder is already below N_i.
+    BigInt g = diagonal ? bn::gcd(n, rem[i] / n) : bn::gcd(n, rem[i]);
+    if (g > one) claims.push_back({static_cast<std::uint32_t>(i), std::move(g)});
   }
-  // Split in half, recompute each half's product, and recurse with the
-  // reduced remainder. Costs an extra product per node but holds only the
-  // current path in memory.
-  const std::size_t half = moduli.size() / 2;
-  const auto left = moduli.subspan(0, half);
-  const auto right = moduli.subspan(half);
-
-  auto product = [](std::span<const bn::BigInt> range) {
-    ProductTree t(range);
-    return t.root();
-  };
-  const BigInt left_product = product(left);
-  const BigInt right_product = product(right);
-
-  std::vector<BigInt> out = remainder_tree_squares_recompute(
-      left, reduce_mod_square(x, left_product));
-  std::vector<BigInt> rhs = remainder_tree_squares_recompute(
-      right, reduce_mod_square(x, right_product));
-  out.insert(out.end(), std::make_move_iterator(rhs.begin()),
-             std::make_move_iterator(rhs.end()));
-  return out;
+  return claims;
 }
 
 }  // namespace weakkeys::batchgcd

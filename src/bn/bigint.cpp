@@ -192,7 +192,7 @@ BigInt operator*(const BigInt& a, const BigInt& b) {
 
 BigInt BigInt::squared() const {
   if (sign_ == 0) return BigInt{};
-  return from_limbs(detail::mul(limbs_, limbs_), 1);
+  return from_limbs(detail::sqr(limbs_), 1);
 }
 
 DivMod BigInt::divmod(const BigInt& a, const BigInt& b) {

@@ -61,6 +61,11 @@ LimbVec mul_karatsuba(const LimbVec& a, const LimbVec& b);
 /// the mul() dispatcher, falling back to Karatsuba below threshold).
 LimbVec mul_toom3(const LimbVec& a, const LimbVec& b);
 
+/// a * a: a Karatsuba square (three half-size squares, in place on one
+/// scratch buffer) over a schoolbook square that forms each cross product
+/// once; Toom-3 sizes go through the general mul_toom3.
+LimbVec sqr(const LimbVec& a);
+
 /// Floor division of magnitudes: a = q*b + r, 0 <= r < b. b must be nonzero.
 /// Dispatches Knuth Algorithm D vs Burnikel–Ziegler division on size.
 void divmod(const LimbVec& a, const LimbVec& b, LimbVec& q, LimbVec& r);

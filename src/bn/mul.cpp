@@ -1,5 +1,6 @@
 // Multiplication: schoolbook below the Karatsuba threshold, Karatsuba above,
-// Toom-3 for the largest operands.
+// Toom-3 for the largest operands. Squaring has its own schoolbook and
+// Karatsuba kernels on the same thresholds.
 //
 // The product tree over the full key corpus multiplies numbers of hundreds of
 // thousands of limbs; a quadratic multiply would make the batch GCD
@@ -8,6 +9,7 @@
 // in place on limb pointers: a top-level call sizes one output and one
 // scratch buffer up front, and the recursion allocates nothing.
 #include <algorithm>
+#include <utility>
 
 #include "bn/detail.hpp"
 #include "obs/mem.hpp"
@@ -114,6 +116,89 @@ void karatsuba(Limb* out, const Limb* a, std::size_t an, const Limb* b,
   add_into(out + m, an + bn - m, z1, std::min(z1n, an + bn - m));
 }
 
+/// out[0..2n) = a^2, schoolbook: each cross product a_i*a_j (i < j) is
+/// computed once, the sum doubled by a one-bit shift, and the diagonal
+/// squares a_i^2 added last — about half the single-limb products of
+/// mul_basecase(a, a). out must not overlap a.
+void sqr_basecase(Limb* out, const Limb* a, std::size_t n) {
+  std::fill(out, out + 2 * n, Limb{0});
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    unsigned __int128 carry = 0;
+    const Limb ai = a[i];
+    for (std::size_t j = i + 1; j < n; ++j) {
+      carry += static_cast<unsigned __int128>(ai) * a[j] + out[i + j];
+      out[i + j] = static_cast<Limb>(carry);
+      carry >>= 64;
+    }
+    out[i + n] = static_cast<Limb>(carry);
+  }
+  // One pass doubles the cross sum (below a^2 / 2, so the shift cannot
+  // carry out) and adds the diagonal squares.
+  Limb top = 0;
+  unsigned __int128 carry = 0;
+  for (std::size_t i = 0; i < 2 * n; ++i) {
+    const unsigned __int128 sq =
+        static_cast<unsigned __int128>(a[i / 2]) * a[i / 2];
+    const Limb v = out[i];
+    carry += static_cast<unsigned __int128>((v << 1) | top) +
+             static_cast<Limb>(i % 2 == 0 ? sq : sq >> 64);
+    top = v >> 63;
+    out[i] = static_cast<Limb>(carry);
+    carry >>= 64;
+  }
+}
+
+/// Length of x[0..n) without its high zero limbs.
+std::size_t significant(const Limb* x, std::size_t n) {
+  while (n > 0 && x[n - 1] == 0) --n;
+  return n;
+}
+
+/// Scratch limbs karatsuba_sqr() needs for an n-limb operand.
+std::size_t karatsuba_sqr_scratch(std::size_t n, std::size_t threshold) {
+  if (n < threshold) return 0;
+  const std::size_t m = (n + 1) / 2;
+  return 5 * m + 1 + karatsuba_sqr_scratch(m, threshold);
+}
+
+/// out[0..2n) = a^2; `scratch` holds karatsuba_sqr_scratch(n) limbs. Splits
+/// at m = ceil(n/2) and takes the middle term from a difference square,
+/// 2*a0*a1 = a0^2 + a1^2 - (a0 - a1)^2, so all three half-size products are
+/// squares and |a0 - a1| needs no carry limb.
+void karatsuba_sqr(Limb* out, const Limb* a, std::size_t n, Limb* scratch,
+                   std::size_t threshold) {
+  if (n < threshold) {
+    sqr_basecase(out, a, n);
+    return;
+  }
+  const std::size_t m = (n + 1) / 2;
+  const std::size_t a1n = n - m;
+  karatsuba_sqr(out, a, m, scratch, threshold);                // a0^2
+  karatsuba_sqr(out + 2 * m, a + m, a1n, scratch, threshold);  // a1^2
+
+  Limb* t = scratch;           // a0^2 + a1^2, 2m + 1 limbs
+  Limb* d = t + 2 * m + 1;     // |a0 - a1|, m limbs
+  Limb* dd = d + m;            // d^2, 2m limbs
+  const std::size_t tn = add_to(t, out, 2 * m, out + 2 * m, 2 * a1n);
+  const Limb* hi = a;
+  const Limb* lo = a + m;
+  std::size_t hin = significant(hi, m);
+  std::size_t lon = significant(lo, a1n);
+  if (cmp(hi, hin, lo, lon) < 0) {
+    std::swap(hi, lo);
+    std::swap(hin, lon);
+  }
+  std::copy(hi, hi + hin, d);
+  sub_into(d, hin, lo, lon);
+  const std::size_t dn = significant(d, hin);
+  if (dn > 0) {
+    karatsuba_sqr(dd, d, dn, dd + 2 * m, threshold);
+    sub_into(t, tn, dd, 2 * dn);
+  }
+  // t = 2*a0*a1 < 2 B^n fits below B^(2n-m); limbs past that are zero.
+  add_into(out + m, 2 * n - m, t, std::min(tn, 2 * n - m));
+}
+
 }  // namespace
 
 LimbVec mul_schoolbook(const LimbVec& a, const LimbVec& b) {
@@ -202,6 +287,25 @@ LimbVec mul(const LimbVec& a, const LimbVec& b) {
   }
   obs::prof::Frame frame("bn.mul.schoolbook");
   return mul_schoolbook(a, b);
+}
+
+LimbVec sqr(const LimbVec& a) {
+  static const int limbs_label = obs::mem::register_label("bn.limbs");
+  obs::MemScope mem_scope(limbs_label, /*only_if_unattributed=*/true);
+  if (a.size() >= Tuning::toom3_threshold()) {
+    obs::prof::Frame frame("bn.mul.toom3");
+    return mul_toom3(a, a);
+  }
+  obs::prof::Frame frame(a.size() >= Tuning::karatsuba_threshold()
+                             ? "bn.sqr.karatsuba"
+                             : "bn.sqr.schoolbook");
+  const std::size_t threshold =
+      std::max<std::size_t>(Tuning::karatsuba_threshold(), 4);
+  LimbVec out(2 * a.size());
+  LimbVec scratch(karatsuba_sqr_scratch(a.size(), threshold));
+  karatsuba_sqr(out.data(), a.data(), a.size(), scratch.data(), threshold);
+  trim(out);
+  return out;
 }
 
 }  // namespace detail

@@ -679,22 +679,17 @@ class Worker {
       std::this_thread::sleep_for(config_.straggle_sleep);
     }
 
-    const std::vector<BigInt> rem =
-        batchgcd::remainder_tree_squares(*tree, product);
-    const std::int64_t t_computed = telemetry_enabled_ ? steady_now_ns() : 0;
-    if (traced) record_span("task.compute", t_dequeue, t_computed, assign);
-    const bool diagonal = assign.product_subset == assign.leaf_subset;
-    const BigInt one(1);
+    // task.compute spans the remainder walk, task.verify the leaf gcds.
+    std::int64_t t_computed = 0;
     TaskResultMsg result;
     result.task = assign.task;
     result.worker_id = config_.worker_id;
-    for (std::size_t i = 0; i < moduli.size(); ++i) {
-      const BigInt& n = moduli[i];
-      BigInt g = diagonal ? bn::gcd(n, rem[i] / n) : bn::gcd(n, rem[i] % n);
-      if (g > one) {
-        result.claims.push_back({static_cast<std::uint32_t>(i), std::move(g)});
-      }
-    }
+    result.claims = batchgcd::task_claims(
+        *tree, moduli, product, assign.product_subset == assign.leaf_subset,
+        [&] {
+          if (telemetry_enabled_) t_computed = steady_now_ns();
+          if (traced) record_span("task.compute", t_dequeue, t_computed, assign);
+        });
     const std::int64_t t_verified = telemetry_enabled_ ? steady_now_ns() : 0;
     if (traced) record_span("task.verify", t_computed, t_verified, assign);
     if (telemetry_enabled_ && t_verified >= t_dequeue) {
@@ -709,7 +704,7 @@ class Worker {
       const std::size_t slot = decision.corrupt_slot % moduli.size();
       const BigInt& n = moduli[slot];
       if (n > BigInt(2)) {
-        const BigInt bogus = n - one;
+        const BigInt bogus = n - BigInt(1);
         const auto it = std::find_if(
             result.claims.begin(), result.claims.end(),
             [slot](const batchgcd::TaskClaim& c) { return c.leaf == slot; });

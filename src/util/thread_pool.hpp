@@ -47,7 +47,12 @@ class ThreadPool {
   template <typename Fn>
   auto submit(Fn&& fn) -> std::future<std::invoke_result_t<Fn>> {
     using R = std::invoke_result_t<Fn>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<Fn>(fn));
+    auto task = std::make_shared<std::packaged_task<R()>>(
+        [task_us = task_us_, tasks_completed = tasks_completed_,
+         fn = std::forward<Fn>(fn)]() mutable -> R {
+          const TaskRecord record(task_us, tasks_completed);
+          return fn();
+        });
     std::future<R> result = task->get_future();
     {
       std::lock_guard lock(mutex_);
@@ -74,6 +79,30 @@ class ThreadPool {
 
  private:
   void worker_loop();
+
+  /// Records one task's latency and completion as it leaves scope. It lives
+  /// inside the packaged task, so the instruments are complete before the
+  /// task's future becomes ready (a snapshot taken right after
+  /// parallel_for returns counts every task).
+  class TaskRecord {
+   public:
+    TaskRecord(obs::Histogram* task_us, obs::Counter* tasks_completed)
+        : task_us_(task_us), tasks_completed_(tasks_completed) {
+      if (task_us_) t0_ = std::chrono::steady_clock::now();
+    }
+    ~TaskRecord() {
+      if (!task_us_) return;
+      task_us_->record(obs::elapsed_us(t0_, std::chrono::steady_clock::now()));
+      tasks_completed_->inc();
+    }
+    TaskRecord(const TaskRecord&) = delete;
+    TaskRecord& operator=(const TaskRecord&) = delete;
+
+   private:
+    obs::Histogram* task_us_;
+    obs::Counter* tasks_completed_;
+    std::chrono::steady_clock::time_point t0_;
+  };
 
   std::vector<std::thread> threads_;
   std::queue<std::function<void()>> queue_;

@@ -183,5 +183,63 @@ TEST_P(DivisionCrossover, MatchesGmpAtTinyThresholds) {
 INSTANTIATE_TEST_SUITE_P(Thresholds, DivisionCrossover,
                          ::testing::Values(2, 3, 8, 17));
 
+// ------------------------------------------------------ square crossovers ----
+
+void expect_square_matches_gmp(const BigInt& x, const std::string& what) {
+  Mpz X(x.to_hex()), R;
+  mpz_mul(R.v, X.v, X.v);
+  EXPECT_EQ(x.squared().to_hex(), R.hex()) << what;
+}
+
+/// squared() at tiny Karatsuba thresholds: the Karatsuba square recursion
+/// bottoms out in the schoolbook square, so every size runs both kernels.
+class SquareCrossover : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(SquareCrossover, MatchesGmpAtTinyThresholds) {
+  const ScopedThreshold scoped(Tuning::karatsuba_threshold(), GetParam());
+  util::Xoshiro256 rng(GetParam());
+  for (std::size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 16u, 17u, 31u, 32u,
+                        33u, 64u, 65u, 100u, 129u}) {
+    const std::string size = "n=" + std::to_string(n);
+    expect_square_matches_gmp(limbs_value(rng, n), size + " random");
+    // All ones: every column sum and the doubling shift carry, and the
+    // square is B^2n - 2B^n + 1.
+    expect_square_matches_gmp(limbs_value(rng, n, ~Limb{0}, true),
+                              size + " all ones");
+    // Top limb all ones over random low limbs: the cross sum and the
+    // diagonal both carry into the top limb of the result.
+    expect_square_matches_gmp(limbs_value(rng, n, ~Limb{0}), size + " top");
+    // Equal halves (a0 == a1: the difference square vanishes) and a zero
+    // low half (a1 > a0 = 0), at the top-level split m = ceil(n/2).
+    std::vector<Limb> halves(n);
+    const std::size_t m = (n + 1) / 2;
+    for (std::size_t i = 0; i < n - m; ++i) {
+      halves[i] = halves[m + i] = rng() | 1;
+    }
+    expect_square_matches_gmp(BigInt::from_limbs(halves), size + " a0==a1");
+    std::vector<Limb> high_only(n);
+    high_only.back() = rng() | 1;
+    expect_square_matches_gmp(BigInt::from_limbs(high_only),
+                              size + " zero low limbs");
+  }
+}
+
+TEST_P(SquareCrossover, ToomSquaresMatchGmp) {
+  // Squares at and past a tiny Toom-3 crossover go through mul_toom3, whose
+  // five point products recurse through mul() down to the Karatsuba sizes.
+  const ScopedThreshold kara(Tuning::karatsuba_threshold(), GetParam());
+  const ScopedThreshold toom(Tuning::toom3_threshold(), 4 * GetParam() + 8);
+  util::Xoshiro256 rng(GetParam() + 1000);
+  for (std::size_t n : {40u, 77u, 200u}) {
+    const std::string size = "n=" + std::to_string(n);
+    expect_square_matches_gmp(limbs_value(rng, n), size + " random");
+    expect_square_matches_gmp(limbs_value(rng, n, ~Limb{0}, true),
+                              size + " all ones");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Thresholds, SquareCrossover,
+                         ::testing::Values(2, 3, 4, 8, 17));
+
 }  // namespace
 }  // namespace weakkeys::bn

@@ -18,6 +18,7 @@
 
 #include "batchgcd/batch_gcd.hpp"
 #include "batchgcd/coordinator.hpp"
+#include "batchgcd/distributed.hpp"
 #include "cluster/process_coordinator.hpp"
 #include "cluster/protocol.hpp"
 #include "obs/telemetry.hpp"
@@ -470,6 +471,44 @@ TEST(Cluster, FaultFreeMatchesBatchGcdAcrossWorkerCounts) {
     EXPECT_GT(stats.frames_sent, 0u);
   }
 }
+
+/// Every k-subset engine against the pairwise oracle on a corpus whose
+/// duplicated modulus sits at both ends, so the copies land in different
+/// subsets: only an off-diagonal task sees the pair, and it must report the
+/// full modulus. A shared prime also spans the subsets.
+class EngineEquivalence : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(EngineEquivalence, DuplicateAcrossSubsetsMatchesNaive) {
+  std::vector<BigInt> moduli = make_moduli(202, 24);
+  rng::PrngRandomSource rng(203);
+  rsa::KeygenOptions opts;
+  opts.modulus_bits = 128;
+  opts.style = rsa::PrimeStyle::kPlain;
+  opts.miller_rabin_rounds = 6;
+  const BigInt dup = rsa::generate_key(rng, opts).pub.n;
+  const BigInt p = rsa::generate_prime(rng, 64, opts);
+  moduli.insert(moduli.begin(), {dup, p * rsa::generate_prime(rng, 64, opts)});
+  moduli.push_back(p * rsa::generate_prime(rng, 64, opts));
+  moduli.push_back(dup);
+  const std::size_t k = GetParam();
+  const auto naive = batchgcd::naive_pairwise_gcd(moduli);
+  ASSERT_EQ(naive.divisors.front(), dup);
+  ASSERT_EQ(naive.divisors.back(), dup);
+  ASSERT_EQ(naive.divisors[1], p);
+
+  EXPECT_EQ(batchgcd::batch_gcd_distributed(moduli, k).divisors,
+            naive.divisors);
+  batchgcd::CoordinatorConfig coordinated;
+  coordinated.subsets = k;
+  coordinated.workers = 2;
+  EXPECT_EQ(batchgcd::batch_gcd_coordinated(moduli, coordinated).divisors,
+            naive.divisors);
+  EXPECT_EQ(batch_gcd_cluster(moduli, fast_config(k, 2)).divisors,
+            naive.divisors);
+}
+
+INSTANTIATE_TEST_SUITE_P(SubsetCounts, EngineEquivalence,
+                         ::testing::Values(2, 3, 5));
 
 TEST(Cluster, EmptyInputAndMissingBinary) {
   ClusterStats stats;

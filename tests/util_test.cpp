@@ -227,6 +227,23 @@ TEST(ThreadPool, ManyTasksDrainBeforeDestruction) {
   EXPECT_EQ(count.load(), 500);
 }
 
+TEST(ThreadPool, MetricsCompleteWhenParallelForReturns) {
+  // The pool's instruments must already count every task the moment
+  // parallel_for returns; repeated rounds give a late record room to show.
+  for (const std::size_t n : {1u, 7u, 400u}) {
+    obs::Telemetry telemetry(/*tracing_enabled=*/false);
+    ThreadPool pool(4, &telemetry);
+    for (std::size_t round = 1; round <= 20; ++round) {
+      pool.parallel_for(n, [](std::size_t) {});
+      const auto snap = telemetry.metrics().snapshot();
+      ASSERT_EQ(snap.counter("threadpool.tasks_completed"), n * round)
+          << "n=" << n << " round " << round;
+      ASSERT_EQ(snap.histograms.at("threadpool.task_us").count, n * round)
+          << "n=" << n << " round " << round;
+    }
+  }
+}
+
 // --------------------------------------------------------- RetryPolicy ----
 
 TEST(RetryPolicy, DelayIsCappedExponential) {
